@@ -80,7 +80,8 @@ enum Oracle : uint32_t {
 };
 
 std::string oracle_name(uint32_t oracle);
-/// Parses "engines" / "fork" / "store" / "dialect" / "sharded" / "all".
+/// Parses "engines" / "fork" / "store" / "dialect" / "sharded" /
+/// "incremental" / "explore" / "all".
 std::optional<uint32_t> parse_oracle(std::string_view name);
 
 /// One self-contained fuzz case. Exactly one of topology/snapshot is

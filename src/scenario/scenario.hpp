@@ -95,7 +95,7 @@ struct ScenarioResult {
   verify::PairwiseResult pairwise;
   /// Base-reachable pairs this scenario breaks (pairwise on).
   size_t broken_pairs = 0;
-  /// Full flow-space diff vs the base (differential on; serial phase).
+  /// Full flow-space diff vs the base (differential on, converged only).
   verify::DifferentialResult differential;
   /// Dirty/splice/fallback accounting of the incremental verify engine
   /// (zeroed unless ScenarioRunnerOptions.incremental is on).
@@ -111,10 +111,8 @@ struct ScenarioRunnerOptions {
   uint64_t max_events = 100000000ull;
   /// Compute the per-scenario pairwise matrix and broken_pairs.
   bool pairwise = true;
-  /// Compute the full differential-reachability vs base per scenario.
-  /// This phase runs serially after the sharded sweep: differential
-  /// queries prime the shared base ForwardingGraph, whose class-LPM index
-  /// is not safe against concurrent mutation.
+  /// Compute the full differential-reachability vs base per converged
+  /// scenario, inside the sharded sweep (the base graph is read-only).
   bool differential = false;
   /// Keep each scenario's snapshot in its result (turn off for very large
   /// sweeps where only the verdict matters).

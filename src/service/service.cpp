@@ -196,7 +196,6 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
           verify::QueryOptions capture;
           capture.threads = options_.query_threads;
           capture.engine = verify::EngineMode::kCached;
-          capture.prime_lpm = false;
           capture.cache = entry->cache.get();
           capture.metrics = metrics_;
           entry->verify_base =
@@ -236,9 +235,6 @@ verify::QueryOptions VerificationService::query_options(
   verify::QueryOptions options;
   options.threads = options_.query_threads;
   options.engine = verify::EngineMode::kCached;
-  // The graph is shared by every concurrent request on this snapshot:
-  // priming would mutate it, the shared TraceCache is the safe substitute.
-  options.prime_lpm = false;
   options.cache = entry.cache.get();
   options.metrics = metrics_;
   if (const util::Json* sources = find_param(request, "sources");

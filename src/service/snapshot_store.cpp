@@ -194,6 +194,8 @@ SnapshotStore::EntryPtr SnapshotStore::find(const std::string& tenant,
       id += "~" + util::hex64(content_check);
       continue;
     }
+    ++hits_;
+    if (hits_counter_ != nullptr) hits_counter_->add(1);
     lru_.splice(lru_.begin(), lru_, it->second.lru);
     return it->second.value;
   }

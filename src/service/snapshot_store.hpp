@@ -203,8 +203,9 @@ class SnapshotStore {
   util::Result<Lease> get_or_build(const std::string& tenant, const SnapshotKey& key,
                                    const Builder& builder, uint64_t content_check = 0);
 
-  /// Lookup without building; touches LRU on hit. nullptr on miss, and on
-  /// a content-check mismatch (a collision miss, counted).
+  /// Lookup without building; touches LRU and counts a store hit on
+  /// success. nullptr on miss, and on a content-check mismatch (a
+  /// collision miss, counted).
   EntryPtr find(const std::string& tenant, const SnapshotKey& key,
                 uint64_t content_check = 0);
 

@@ -1,34 +1,108 @@
 // Forwarding-graph model of a dataplane snapshot.
 //
 // Indexes a gnmi::Snapshot for fast per-hop resolution: per-device LPM
-// tries over the AFT entries, an address-ownership map (who answers for a
+// over the AFT entries, an address-ownership table (who answers for a
 // next-hop IP), and per-device connected subnets (attached delivery). This
 // is the "formally model the dataplane" stage of §4.2 — everything the
 // trace walker and the exhaustive queries need.
+//
+// The graph is built once into a flat, read-only form and never mutates
+// afterwards, so any number of threads may query it concurrently:
+//   * node names are interned to dense NodeIds (name order);
+//   * each node's LPM is a sorted array of address intervals, built in one
+//     pass over the already-sorted AFT map;
+//   * every resolved next hop lives in one arena, with its downstream
+//     owner and the egress/ingress filters it meets already resolved, and
+//     routes refer to spans of that arena.
+// The string-keyed accessors below are thin wrappers over the same tables
+// for the legacy per-flow walker (trace.cpp), the CLI and utilization.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gnmi/gnmi.hpp"
-#include "net/prefix_trie.hpp"
-#include "verify/packet_classes.hpp"
 
 namespace mfv::verify {
 
+/// Dense node index of a ForwardingGraph: position in name order.
+using NodeId = uint32_t;
+inline constexpr NodeId kNoNode = ~NodeId{0};
+
+using AclRules = std::vector<aft::AclRule>;
+
 class ForwardingGraph {
  public:
+  /// One resolved next hop: the AFT hop plus what the walkers would
+  /// otherwise look up by name on every traversal.
+  struct Hop {
+    const aft::NextHop* next_hop = nullptr;
+    /// Device owning next_hop->ip_address; kNoNode when the hop is not
+    /// addressed or nobody owns the address.
+    NodeId owner = kNoNode;
+    /// Egress filter of next_hop->interface on this node (null = none).
+    const AclRules* acl_out = nullptr;
+    /// Ingress filter where `owner` receives next_hop->ip_address.
+    const AclRules* acl_in = nullptr;
+  };
+  using Hops = std::span<const Hop>;
+
+  /// An AFT entry with its resolved next hops (empty = dangling group).
+  struct Route {
+    const aft::Ipv4Entry* entry = nullptr;
+    Hops hops;
+  };
+  struct LabelRoute {
+    uint32_t label = 0;
+    const aft::LabelEntry* entry = nullptr;
+    Hops hops;
+  };
+  /// Owner of an address on an up default-instance interface.
+  struct Owner {
+    uint32_t address = 0;
+    NodeId node = kNoNode;
+    /// Ingress filter of the interface receiving traffic for `address`.
+    const AclRules* acl_in = nullptr;
+  };
+
   explicit ForwardingGraph(const gnmi::Snapshot& snapshot);
+  // The tables point into snapshot_, so the graph stays where it was built.
+  ForwardingGraph(const ForwardingGraph&) = delete;
+  ForwardingGraph& operator=(const ForwardingGraph&) = delete;
 
   const gnmi::Snapshot& snapshot() const { return snapshot_; }
 
-  std::vector<net::NodeName> nodes() const;
-  bool has_node(const net::NodeName& node) const {
-    return snapshot_.devices.count(node) > 0;
+  // -- Dense-id interface (the memoized engine and the splicer) ----------
+
+  size_t node_count() const { return names_.size(); }
+  /// Node names in id order (sorted).
+  const std::vector<net::NodeName>& nodes() const { return names_; }
+  const net::NodeName& name_of(NodeId node) const { return names_[node]; }
+  /// Id of `node`, or kNoNode when it is not in the graph.
+  NodeId id_of(const net::NodeName& node) const;
+
+  /// Longest-prefix match of `destination` on `node`; null = no route.
+  const Route* route(NodeId node, net::Ipv4Address destination) const;
+  /// MPLS label binding of `node`; null = none.
+  const LabelRoute* label_route(NodeId node, uint32_t label) const;
+  /// Every label binding of `node`, in label order.
+  std::span<const LabelRoute> label_routes(NodeId node) const;
+  /// Owner of `address`; null = nobody.
+  const Owner* owner(net::Ipv4Address address) const;
+  /// True if `address` falls in one of `node`'s up connected subnets.
+  bool on_connected_subnet(NodeId node, net::Ipv4Address address) const;
+
+  /// Applies a resolved filter; null (no filter attached) permits.
+  static bool permits(const AclRules* acl, net::Ipv4Address destination) {
+    return acl == nullptr || aft::acl_permits(*acl, destination);
   }
+
+  // -- String-keyed wrappers ----------------------------------------------
+
+  bool has_node(const net::NodeName& node) const { return id_of(node) != kNoNode; }
 
   /// LPM lookup of `destination` in `node`'s AFT.
   const aft::Ipv4Entry* lookup(const net::NodeName& node,
@@ -73,24 +147,44 @@ class ForwardingGraph {
   /// partition is computed from this set.
   std::vector<net::Ipv4Prefix> relevant_prefixes() const;
 
-  /// Precomputes, for every node, the LPM resolution of each class
-  /// representative; lookup() then serves those exact addresses from a
-  /// flat hash table instead of descending the trie — the per-hop cost of
-  /// a query sweep stops paying the trie walk. Idempotent and cumulative
-  /// across partitions (differential queries prime both snapshots with
-  /// the union partition). Not safe against concurrent lookup(): prime
-  /// before the parallel phase of a query.
-  void prime_class_lpm(const std::vector<PacketClass>& classes) const;
-
  private:
+  /// [begin, end) slice of a per-node flat table.
+  struct Range {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  /// A node's slices of the flat tables below.
+  struct NodeRanges {
+    Range groups;
+    Range labels;
+    Range lpm;
+    Range connected;
+  };
+  struct Group {
+    uint64_t id = 0;
+    Hops hops;
+  };
+
+  Hops group_hops(NodeId node, uint64_t group_id) const;
+
   gnmi::Snapshot snapshot_;
-  std::map<net::NodeName, net::PrefixTrie<const aft::Ipv4Entry*>> tries_;
-  std::map<uint32_t, net::NodeName> owners_;  // address bits -> node
-  std::map<net::NodeName, std::vector<net::Ipv4Prefix>> connected_;
-  /// Primed per-representative LPM results (nullptr = cached "no route").
-  mutable std::map<net::NodeName,
-                   std::unordered_map<uint32_t, const aft::Ipv4Entry*>>
-      lpm_index_;
+  std::vector<net::NodeName> names_;
+  std::vector<const aft::DeviceAft*> devices_;  // by id
+  std::vector<NodeRanges> ranges_;               // by id
+  /// Sorted by address. A duplicate address belongs to its last
+  /// registration, in device then interface name order.
+  std::vector<Owner> owners_;
+  std::vector<Hop> hop_arena_;
+  /// Per-node groups, sorted by group id.
+  std::vector<Group> groups_;
+  std::vector<Route> routes_;
+  std::vector<LabelRoute> label_routes_;
+  /// Per-node LPM: interval i covers [lpm_start_[i], lpm_start_[i+1]) and
+  /// resolves to routes_[lpm_route_[i]] (kNoRoute = no covering entry).
+  static constexpr uint32_t kNoRoute = ~uint32_t{0};
+  std::vector<uint32_t> lpm_start_;
+  std::vector<uint32_t> lpm_route_;
+  std::vector<net::Ipv4Prefix> connected_;
 };
 
 }  // namespace mfv::verify

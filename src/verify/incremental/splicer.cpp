@@ -27,7 +27,7 @@
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/incremental/incremental.hpp"
-#include "verify/trace_cache.hpp"
+#include "verify/query_support.hpp"
 
 namespace mfv::verify {
 
@@ -57,45 +57,6 @@ IncrementalBase::IncrementalBase() = default;
 IncrementalBase::~IncrementalBase() = default;
 
 namespace {
-
-// Mirrors of the cold sweep's resolution helpers (queries.cpp keeps its
-// own in an anonymous namespace); any drift here breaks byte-identity and
-// is caught by the incremental fuzz oracle.
-std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
-                                           const QueryOptions& options) {
-  if (!options.sources.empty()) return options.sources;
-  return graph.nodes();
-}
-
-std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
-                                     const QueryOptions& options) {
-  if (options.scope) return compute_packet_classes(prefixes, *options.scope);
-  return compute_packet_classes(prefixes);
-}
-
-unsigned resolve_threads(const QueryOptions& options) {
-  if (options.threads != 0) return options.threads;
-  return util::ThreadPool::default_threads();
-}
-
-bool row_passes(const QueryOptions& options, const DispositionSet& dispositions) {
-  return options.row_filter.empty() || dispositions.intersects(options.row_filter);
-}
-
-/// The caller's long-lived cache when provided, else a query-local one.
-class CacheRef {
- public:
-  CacheRef(TraceCache* shared, const ForwardingGraph& graph,
-           obs::MetricsRegistry* metrics) {
-    if (shared == nullptr) local_ = std::make_unique<TraceCache>(graph, metrics);
-    cache_ = shared != nullptr ? shared : local_.get();
-  }
-  TraceCache& operator*() { return *cache_; }
-
- private:
-  std::unique_ptr<TraceCache> local_;
-  TraceCache* cache_ = nullptr;
-};
 
 QueryOptions cold_options(const QueryOptions& options) {
   QueryOptions cold = options;
@@ -166,30 +127,19 @@ enum class ColumnMode : uint8_t {
   kRetrace,  // dirty with no usable base column: re-trace every cell
 };
 
-/// Per-query context for the per-cell closure: a dense node index (the
-/// node sets are identical — a node-set delta is inexpressible) over the
-/// base's SpliceAdjacency memo. closure() fills the memo lazily under its
-/// once_flags and otherwise allocates locally, so dirty columns can run
-/// it in parallel and concurrent queries can share one base.
+/// Per-query context for the per-cell closure over the base's
+/// SpliceAdjacency memo. Base and candidate share NodeIds: a node-set
+/// delta is inexpressible, so both graphs intern the same sorted names.
+/// closure() fills the memo lazily under its once_flags and otherwise
+/// allocates locally, so dirty columns can run it in parallel and
+/// concurrent queries can share one base.
 class SpliceCloser {
  public:
   SpliceCloser(const IncrementalBase& base, const ForwardingGraph& candidate)
-      : base_(base),
-        base_graph_(*base.graph),
-        candidate_(candidate),
-        nodes_(candidate.nodes()) {
-    for (size_t i = 0; i < nodes_.size(); ++i) index_.emplace(nodes_[i], i);
+      : base_(base), base_graph_(*base.graph), candidate_(candidate) {
     // Without a memo (defensively: capture always allocates one) the
     // label edges are rebuilt per query, as the pre-memo code did.
     if (base_.adjacency == nullptr) local_label_ = label_edges();
-  }
-
-  const std::vector<net::NodeName>& nodes() const { return nodes_; }
-
-  std::optional<size_t> index_of(const net::NodeName& node) const {
-    auto it = index_.find(node);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
   }
 
   /// Nodes whose class-`representative` flows can meet a node of `seeds`
@@ -209,7 +159,8 @@ class SpliceCloser {
   /// walks every candidate node for this column (rare: ownership moves
   /// only on interface re-addressing).
   std::vector<uint8_t> closure(net::Ipv4Address representative, size_t base_class,
-                               const std::vector<size_t>& seeds) const {
+                               const std::vector<NodeId>& seeds) const {
+    const size_t node_count = candidate_.node_count();
     SpliceAdjacency* memo = base_.adjacency.get();
     std::vector<std::vector<uint32_t>> local_base;
     const std::vector<std::vector<uint32_t>>* base_reverse;
@@ -231,24 +182,23 @@ class SpliceCloser {
       label_reverse = &local_label_;
     }
 
-    std::vector<std::vector<uint32_t>> overlay(nodes_.size());
-    if (base_graph_.address_owner(representative) ==
-        candidate_.address_owner(representative)) {
-      for (size_t seed : seeds) candidate_edges_from(seed, representative, overlay);
+    std::vector<std::vector<uint32_t>> overlay(node_count);
+    if (owner_of(base_graph_, representative) == owner_of(candidate_, representative)) {
+      for (NodeId seed : seeds) candidate_edges_from(seed, representative, overlay);
     } else {
-      for (size_t i = 0; i < nodes_.size(); ++i)
-        candidate_edges_from(i, representative, overlay);
+      for (NodeId node = 0; node < node_count; ++node)
+        candidate_edges_from(node, representative, overlay);
     }
 
-    std::vector<uint8_t> in_closure(nodes_.size(), 0);
-    std::vector<size_t> frontier;
-    for (size_t seed : seeds) {
+    std::vector<uint8_t> in_closure(node_count, 0);
+    std::vector<NodeId> frontier;
+    for (NodeId seed : seeds) {
       if (in_closure[seed]) continue;
       in_closure[seed] = 1;
       frontier.push_back(seed);
     }
     while (!frontier.empty()) {
-      size_t node = frontier.back();
+      NodeId node = frontier.back();
       frontier.pop_back();
       const std::vector<uint32_t>* edge_lists[] = {
           &(*base_reverse)[node], &(*label_reverse)[node], &overlay[node]};
@@ -264,58 +214,53 @@ class SpliceCloser {
   }
 
  private:
-  void add_reverse_edge(const ForwardingGraph& graph,
-                        std::vector<std::vector<uint32_t>>& reverse,
-                        net::Ipv4Address via, size_t from) const {
-    std::optional<net::NodeName> owner = graph.address_owner(via);
-    if (!owner) return;
-    auto it = index_.find(*owner);
-    if (it != index_.end()) reverse[it->second].push_back(static_cast<uint32_t>(from));
+  static NodeId owner_of(const ForwardingGraph& graph, net::Ipv4Address address) {
+    const ForwardingGraph::Owner* owner = graph.owner(address);
+    return owner != nullptr ? owner->node : kNoNode;
+  }
+
+  /// Adds the reverse edges of `route`'s hops out of `from`. Addressed
+  /// hops move to the hop owner, attached hops to the destination owner —
+  /// mirror of Tracer::walk / ClassSolver.
+  static void add_route_edges(const ForwardingGraph::Route& route, NodeId from,
+                              NodeId destination_owner,
+                              std::vector<std::vector<uint32_t>>& reverse) {
+    for (const ForwardingGraph::Hop& hop : route.hops) {
+      if (hop.next_hop->drop) continue;
+      NodeId to = hop.next_hop->ip_address ? hop.owner : destination_owner;
+      if (to != kNoNode) reverse[to].push_back(from);
+    }
   }
 
   /// Reverse forwarding edges of `graph` at `representative`, all nodes.
   std::vector<std::vector<uint32_t>> forwarding_edges(
       const ForwardingGraph& graph, net::Ipv4Address representative) const {
-    std::vector<std::vector<uint32_t>> reverse(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      const aft::Ipv4Entry* entry = graph.lookup(nodes_[i], representative);
-      if (entry == nullptr) continue;
-      for (const aft::NextHop& hop : graph.next_hops(nodes_[i], *entry)) {
-        if (hop.drop) continue;
-        // Addressed hops move to the hop owner, attached hops to the
-        // destination owner — mirror of Tracer::walk / ClassSolver.
-        add_reverse_edge(graph, reverse,
-                         hop.ip_address ? *hop.ip_address : representative, i);
-      }
-    }
+    std::vector<std::vector<uint32_t>> reverse(graph.node_count());
+    NodeId destination_owner = owner_of(graph, representative);
+    for (NodeId node = 0; node < graph.node_count(); ++node)
+      if (const ForwardingGraph::Route* route = graph.route(node, representative))
+        add_route_edges(*route, node, destination_owner, reverse);
     return reverse;
   }
 
   /// Candidate-graph reverse edges out of one node, appended to `overlay`.
-  void candidate_edges_from(size_t i, net::Ipv4Address representative,
+  void candidate_edges_from(NodeId node, net::Ipv4Address representative,
                             std::vector<std::vector<uint32_t>>& overlay) const {
-    const aft::Ipv4Entry* entry = candidate_.lookup(nodes_[i], representative);
-    if (entry == nullptr) return;
-    for (const aft::NextHop& hop : candidate_.next_hops(nodes_[i], *entry)) {
-      if (hop.drop) continue;
-      add_reverse_edge(candidate_, overlay,
-                       hop.ip_address ? *hop.ip_address : representative, i);
-    }
+    if (const ForwardingGraph::Route* route = candidate_.route(node, representative))
+      add_route_edges(*route, node, owner_of(candidate_, representative), overlay);
   }
 
   /// Label-forwarding reverse edges (identical on both snapshots; built
   /// from the base graph).
   std::vector<std::vector<uint32_t>> label_edges() const {
-    std::vector<std::vector<uint32_t>> reverse(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      auto device = base_graph_.snapshot().devices.find(nodes_[i]);
-      if (device == base_graph_.snapshot().devices.end()) continue;
-      for (const auto& [label, entry] : device->second.aft.label_entries()) {
+    std::vector<std::vector<uint32_t>> reverse(base_graph_.node_count());
+    for (NodeId node = 0; node < base_graph_.node_count(); ++node) {
+      for (const ForwardingGraph::LabelRoute& binding : base_graph_.label_routes(node)) {
         // The tracer only follows the first resolved hop; taking them all
         // keeps the edge set a sound over-approximation.
-        for (const aft::NextHop& hop : base_graph_.label_next_hops(nodes_[i], entry)) {
-          if (hop.drop || !hop.ip_address) continue;
-          add_reverse_edge(base_graph_, reverse, *hop.ip_address, i);
+        for (const ForwardingGraph::Hop& hop : binding.hops) {
+          if (hop.next_hop->drop || !hop.next_hop->ip_address) continue;
+          if (hop.owner != kNoNode) reverse[hop.owner].push_back(node);
         }
       }
     }
@@ -325,18 +270,16 @@ class SpliceCloser {
   const IncrementalBase& base_;
   const ForwardingGraph& base_graph_;
   const ForwardingGraph& candidate_;
-  std::vector<net::NodeName> nodes_;
-  std::map<net::NodeName, size_t> index_;
   std::vector<std::vector<uint32_t>> local_label_;
 };
 
 /// Seed set for one column: nodes whose own deltas touch `representative`.
-std::vector<size_t> dirty_seeds(const FibDelta& delta, const SpliceCloser& closer,
+std::vector<NodeId> dirty_seeds(const FibDelta& delta, const ForwardingGraph& graph,
                                 net::Ipv4Address representative) {
-  std::vector<size_t> seeds;
+  std::vector<NodeId> seeds;
   for (const auto& [node, ranges] : delta.node_dirty_ranges) {
     if (!delta.node_dirty(node, representative, representative)) continue;
-    if (std::optional<size_t> index = closer.index_of(node)) seeds.push_back(*index);
+    if (NodeId id = graph.id_of(node); id != kNoNode) seeds.push_back(id);
   }
   return seeds;
 }
@@ -357,14 +300,13 @@ std::unique_ptr<IncrementalBase> capture_incremental_base(const ForwardingGraph&
   const size_t class_count = base->classes.size();
   base->matrix.assign(base->sources.size() * class_count, DispositionSet());
   unsigned threads = resolve_threads(options);
-  if (options.prime_lpm) graph.prime_class_lpm(base->classes);
   CacheRef cache(options.cache, graph, options.metrics);
+  SourceIds ids(graph, base->sources);
   util::parallel_for_shards(threads, class_count, [&](size_t c) {
-    net::Ipv4Address representative = base->classes[c].representative();
-    (*cache).warm(representative);
+    const TraceCache::Table& table =
+        (*cache).table(base->classes[c].representative(), ids.known);
     for (size_t s = 0; s < base->sources.size(); ++s)
-      base->matrix[s * class_count + c] =
-          (*cache).dispositions(base->sources[s], representative);
+      base->matrix[s * class_count + c] = ids.read(table, s);
   });
   base->adjacency = std::make_unique<SpliceAdjacency>(class_count);
   return base;
@@ -400,7 +342,6 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   std::vector<ColumnMode> mode(class_count, ColumnMode::kSplice);
   std::vector<size_t> base_column(class_count, 0);
   std::vector<size_t> dirty_index;
-  std::vector<PacketClass> dirty_classes;
   for (size_t c = 0; c < class_count; ++c) {
     std::optional<size_t> column =
         containing_base_class(base, classes[c].first, classes[c].last);
@@ -410,7 +351,6 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
       mode[c] = column ? ColumnMode::kCell : ColumnMode::kRetrace;
       if (column) base_column[c] = *column;
       dirty_index.push_back(c);
-      dirty_classes.push_back(classes[c]);
       continue;
     }
     // The containment lemma says a clean candidate class lies inside one
@@ -422,11 +362,8 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
 
   // Per dirty cell column: the closure sources whose cells must re-trace.
   SpliceCloser closer(base, graph);
-  const size_t node_count = closer.nodes().size();
-  std::vector<size_t> source_node(source_count, SIZE_MAX);
-  for (size_t s = 0; s < source_count; ++s)
-    if (std::optional<size_t> index = closer.index_of(sources[s]))
-      source_node[s] = *index;
+  const size_t node_count = graph.node_count();
+  SourceIds ids(graph, sources);
 
   unsigned threads = resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
@@ -436,11 +373,10 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
     if (mode[c] != ColumnMode::kCell) return;
     net::Ipv4Address representative = classes[c].representative();
     std::vector<uint8_t> in_closure = closer.closure(
-        representative, base_column[c], dirty_seeds(p.delta, closer, representative));
+        representative, base_column[c], dirty_seeds(p.delta, graph, representative));
     retrace[i].assign(source_count, 0);
     for (size_t s = 0; s < source_count; ++s)
-      if (source_node[s] != SIZE_MAX && in_closure[source_node[s]])
-        retrace[i][s] = 1;
+      if (ids.node[s] != kNoNode && in_closure[ids.node[s]]) retrace[i][s] = 1;
     closures[i] = std::move(in_closure);
   });
 
@@ -475,23 +411,22 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   // Re-trace closure cells with the same memoized engine as the cold
   // sweep — partial class solves for cell columns, full tables for
   // whole-column re-traces — and splice everything else.
-  if (options.prime_lpm && !dirty_classes.empty()) graph.prime_class_lpm(dirty_classes);
   std::vector<DispositionSet> matrix(source_count * class_count);
   CacheRef cache(options.cache, graph, options.metrics);
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t c = dirty_index[i];
     net::Ipv4Address representative = classes[c].representative();
     if (mode[c] != ColumnMode::kCell) {
-      (*cache).warm(representative);
+      const TraceCache::Table& table = (*cache).table(representative, ids.known);
       for (size_t s = 0; s < source_count; ++s)
-        matrix[s * class_count + c] = (*cache).dispositions(sources[s], representative);
+        matrix[s * class_count + c] = ids.read(table, s);
       return;
     }
-    std::vector<net::NodeName> retrace_sources;
+    std::vector<NodeId> retrace_sources;
     std::vector<size_t> retrace_rows;
     for (size_t s = 0; s < source_count; ++s) {
       if (retrace[i][s] == 0) continue;
-      retrace_sources.push_back(sources[s]);
+      retrace_sources.push_back(ids.node[s]);
       retrace_rows.push_back(s);
     }
     if (retrace_sources.empty()) return;
@@ -544,7 +479,7 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   if (!p.fallback.empty()) return fall_back(p.fallback);
   const IncrementalBase& base = *p.base;
 
-  std::vector<net::NodeName> nodes = graph.nodes();
+  const std::vector<net::NodeName>& nodes = graph.nodes();
   const size_t node_count = nodes.size();
   stats.classes = node_count;
 
@@ -583,10 +518,6 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   stats.dirty_classes = dirty_index.size();
 
   SpliceCloser closer(base, graph);
-  std::vector<size_t> source_node(node_count, SIZE_MAX);
-  for (size_t s = 0; s < node_count; ++s)
-    if (std::optional<size_t> index = closer.index_of(nodes[s]))
-      source_node[s] = *index;
 
   unsigned threads = resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
@@ -595,12 +526,10 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
     size_t d = dirty_index[i];
     if (mode[d] != ColumnMode::kCell) return;
     net::Ipv4Address loopback = *loopbacks[d];
+    // Pairwise sources are every node, in NodeId order.
     std::vector<uint8_t> in_closure = closer.closure(
-        loopback, base_column[d], dirty_seeds(p.delta, closer, loopback));
-    retrace[i].assign(node_count, 0);
-    for (size_t s = 0; s < node_count; ++s)
-      if (source_node[s] != SIZE_MAX && in_closure[source_node[s]])
-        retrace[i][s] = 1;
+        loopback, base_column[d], dirty_seeds(p.delta, graph, loopback));
+    retrace[i] = in_closure;
     closures[i] = std::move(in_closure);
   });
 
@@ -624,9 +553,9 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
           options.incremental_max_dirty_fraction * static_cast<double>(total_cells))
     return fall_back("dirty-fraction");
   if (any_full) {
-    stats.dirty_nodes = closer.nodes().size();
+    stats.dirty_nodes = node_count;
   } else {
-    std::vector<uint8_t> dirty_union(closer.nodes().size(), 0);
+    std::vector<uint8_t> dirty_union(node_count, 0);
     for (const std::vector<uint8_t>& in_closure : closures)
       for (size_t n = 0; n < in_closure.size(); ++n)
         dirty_union[n] |= in_closure[n];
@@ -639,19 +568,20 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
     size_t d = dirty_index[i];
     net::Ipv4Address loopback = *loopbacks[d];
     if (mode[d] != ColumnMode::kCell) {
+      if (node_count < 2) return;
+      const TraceCache::Table& table = (*cache).table(loopback, node_count - 2);
       for (size_t s = 0; s < node_count; ++s) {
         if (s == d) continue;
-        bool ok =
-            (*cache).dispositions(nodes[s], loopback).contains(Disposition::kAccepted);
+        bool ok = table.at(static_cast<NodeId>(s)).contains(Disposition::kAccepted);
         reachable[s * node_count + d] = ok ? 1 : 0;
       }
       return;
     }
-    std::vector<net::NodeName> retrace_sources;
+    std::vector<NodeId> retrace_sources;
     std::vector<size_t> retrace_rows;
     for (size_t s = 0; s < node_count; ++s) {
       if (s == d || retrace[i][s] == 0) continue;
-      retrace_sources.push_back(nodes[s]);
+      retrace_sources.push_back(static_cast<NodeId>(s));
       retrace_rows.push_back(s);
     }
     if (retrace_sources.empty()) return;

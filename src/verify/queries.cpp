@@ -2,35 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <set>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/incremental/incremental.hpp"
-#include "verify/trace_cache.hpp"
+#include "verify/query_support.hpp"
 
 namespace mfv::verify {
 
 namespace {
-
-std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
-                                           const QueryOptions& options) {
-  if (!options.sources.empty()) return options.sources;
-  return graph.nodes();
-}
-
-std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
-                                     const QueryOptions& options) {
-  if (options.scope) return compute_packet_classes(prefixes, *options.scope);
-  return compute_packet_classes(prefixes);
-}
-
-unsigned resolve_threads(const QueryOptions& options) {
-  if (options.threads != 0) return options.threads;
-  return util::ThreadPool::default_threads();
-}
 
 /// True when the memoized (TraceCache) engine should run; false selects
 /// the legacy per-flow walker.
@@ -42,26 +24,6 @@ bool use_cached_engine(const QueryOptions& options, unsigned threads) {
   }
   return threads > 1;
 }
-
-bool row_passes(const QueryOptions& options, const DispositionSet& dispositions) {
-  return options.row_filter.empty() || dispositions.intersects(options.row_filter);
-}
-
-/// The memoization a query sweep uses: the caller's long-lived cache when
-/// provided (service / session path), else a fresh query-local one.
-class CacheRef {
- public:
-  CacheRef(TraceCache* shared, const ForwardingGraph& graph,
-           obs::MetricsRegistry* metrics) {
-    if (shared == nullptr) local_ = std::make_unique<TraceCache>(graph, metrics);
-    cache_ = shared != nullptr ? shared : local_.get();
-  }
-  TraceCache& operator*() { return *cache_; }
-
- private:
-  std::unique_ptr<TraceCache> local_;
-  TraceCache* cache_ = nullptr;
-};
 
 /// Resolves the per-shard latency histogram once per sweep (nullptr when
 /// no registry is attached) and times one shard around a callable.
@@ -111,22 +73,24 @@ ReachabilityResult reachability(const ForwardingGraph& graph, const QueryOptions
   // class once (memoized per-node table when the cache is on) and fills a
   // shard-indexed slice of the disposition matrix, so row content and
   // order never depend on the worker count.
-  if (options.prime_lpm) graph.prime_class_lpm(classes);
   const size_t class_count = classes.size();
   std::vector<DispositionSet> matrix(sources.size() * class_count);
   bool cached = use_cached_engine(options, threads);
   CacheRef cache(options.cache, graph, options.metrics);
+  SourceIds ids(graph, sources);
   obs::Histogram* shard_latency = shard_latency_histogram(options);
   util::parallel_for_shards(threads, class_count, [&](size_t c) {
     timed_shard(shard_latency, [&] {
       net::Ipv4Address representative = classes[c].representative();
-      if (cached) (*cache).warm(representative);
-      for (size_t s = 0; s < sources.size(); ++s) {
-        matrix[s * class_count + c] =
-            cached ? (*cache).dispositions(sources[s], representative)
-                   : trace_flow(graph, sources[s], representative, options.trace)
-                         .dispositions;
+      if (cached) {
+        const TraceCache::Table& table = (*cache).table(representative, ids.known);
+        for (size_t s = 0; s < sources.size(); ++s)
+          matrix[s * class_count + c] = ids.read(table, s);
+        return;
       }
+      for (size_t s = 0; s < sources.size(); ++s)
+        matrix[s * class_count + c] =
+            trace_flow(graph, sources[s], representative, options.trace).dispositions;
     });
   });
 
@@ -198,14 +162,12 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
     return result;
   }
 
-  if (options.prime_lpm) {
-    base.prime_class_lpm(classes);
-    candidate.prime_class_lpm(classes);
-  }
   const size_t class_count = classes.size();
   bool cached = use_cached_engine(options, threads);
   CacheRef base_cache(options.cache, base, options.metrics);
   CacheRef candidate_cache(options.candidate_cache, candidate, options.metrics);
+  SourceIds base_ids(base, sources);
+  SourceIds candidate_ids(candidate, sources);
   obs::Histogram* shard_latency = shard_latency_histogram(options);
   // Cell (s, c): the two disposition sets plus a differ flag; only
   // differing cells become rows, in source-major order like the legacy
@@ -216,16 +178,17 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
   util::parallel_for_shards(threads, class_count, [&](size_t c) {
     timed_shard(shard_latency, [&] {
       net::Ipv4Address representative = classes[c].representative();
+      const TraceCache::Table* base_table = nullptr;
+      const TraceCache::Table* candidate_table = nullptr;
       if (cached) {
-        (*base_cache).warm(representative);
-        (*candidate_cache).warm(representative);
+        base_table = &(*base_cache).table(representative, base_ids.known);
+        candidate_table = &(*candidate_cache).table(representative, candidate_ids.known);
       }
       for (size_t s = 0; s < sources.size(); ++s) {
         size_t cell = s * class_count + c;
         if (cached) {
-          base_matrix[cell] = (*base_cache).dispositions(sources[s], representative);
-          candidate_matrix[cell] =
-              (*candidate_cache).dispositions(sources[s], representative);
+          base_matrix[cell] = base_ids.read(*base_table, s);
+          candidate_matrix[cell] = candidate_ids.read(*candidate_table, s);
         } else {
           base_matrix[cell] =
               trace_flow(base, sources[s], representative, options.trace).dispositions;
@@ -314,7 +277,7 @@ PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options) {
   if (options.incremental != nullptr) return incremental_pairwise(graph, options);
   PairwiseResult result;
-  std::vector<net::NodeName> nodes = graph.nodes();
+  const std::vector<net::NodeName>& nodes = graph.nodes();
 
   unsigned threads = resolve_threads(options);
   if (!use_cached_engine(options, threads) && threads <= 1) {
@@ -346,14 +309,16 @@ PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
   obs::Histogram* shard_latency = shard_latency_histogram(options);
   std::vector<uint8_t> reachable(node_count * node_count, 0);
   util::parallel_for_shards(threads, node_count, [&](size_t d) {
-    if (!loopbacks[d]) return;
+    if (!loopbacks[d] || node_count < 2) return;
     timed_shard(shard_latency, [&] {
+      // One table per destination serves its node_count - 1 cells.
+      const TraceCache::Table* table =
+          cached ? &(*cache).table(*loopbacks[d], node_count - 2) : nullptr;
       for (size_t s = 0; s < node_count; ++s) {
         if (s == d) continue;
         bool ok =
-            cached
-                ? (*cache).dispositions(nodes[s], *loopbacks[d]).contains(Disposition::kAccepted)
-                : trace_flow(graph, nodes[s], *loopbacks[d], options.trace).reachable();
+            cached ? table->at(static_cast<NodeId>(s)).contains(Disposition::kAccepted)
+                   : trace_flow(graph, nodes[s], *loopbacks[d], options.trace).reachable();
         reachable[s * node_count + d] = ok ? 1 : 0;
       }
     });

@@ -54,12 +54,6 @@ struct QueryOptions {
   TraceCache* cache = nullptr;
   /// Candidate-side cache for differential queries (same contract).
   TraceCache* candidate_cache = nullptr;
-  /// Pre-resolve every (node, class) LPM into a flat index before the
-  /// sweep. A per-query win, but the priming mutates the graph's index and
-  /// is not safe against concurrent lookup() from another query on the
-  /// same graph — the service disables it and relies on the shared
-  /// TraceCache instead, which amortizes the trie walks across requests.
-  bool prime_lpm = true;
   /// Optional metrics sink. Sharded sweeps record per-shard wall time
   /// into the `verify_shard_latency_us` histogram, and query-local
   /// TraceCaches mirror their hit/miss counters into the registry.

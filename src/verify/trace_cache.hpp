@@ -22,14 +22,15 @@
 // loop verdict depends on the path taken (a node revisited in a different
 // MPLS label state without a state-graph cycle) are computed per entry
 // path and never memoized, so the table stays context-free.
+//
+// Class tables are flat: one disposition set per NodeId, published once
+// fully solved. From then on a read takes no lock — the class lookup is a
+// lock-free chained hash and the table itself never changes again.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -38,53 +39,59 @@
 
 namespace mfv::verify {
 
-/// One memoized continuation in a TraceCache class table (implementation
-/// detail, shared with the per-class solver).
-struct TraceMemoEntry {
-  DispositionSet set;
-  /// Node indices the state's subtree traverses. Loop detection is
-  /// node-based, so a memoized result is valid for a caller only when
-  /// none of these nodes are already on the caller's path — otherwise
-  /// the legacy walker would have declared a loop at that node and the
-  /// continuation recorded here never runs (found by the
-  /// serial-vs-threaded fuzz oracle; regression in tests/fuzz_corpus/).
-  std::vector<uint32_t> footprint;
-};
-
 class TraceCache {
  public:
+  /// A fully solved class table: the disposition set of the flow injected
+  /// at each node, indexed by NodeId. Immutable once published.
+  class Table {
+   public:
+    const DispositionSet& at(NodeId node) const { return sets_[node]; }
+
+   private:
+    friend class TraceCache;
+    std::vector<DispositionSet> sets_;
+  };
+
   /// `metrics`, when set, mirrors hits/misses/re-expansions into the
   /// trace_cache_* counter family; the local atomics stay authoritative
   /// for the accessors below either way.
   explicit TraceCache(const ForwardingGraph& graph,
                       obs::MetricsRegistry* metrics = nullptr);
+  ~TraceCache();
+  TraceCache(const TraceCache&) = delete;
+  TraceCache& operator=(const TraceCache&) = delete;
+
+  /// The solved table of `destination`'s class (any address of a packet
+  /// class, typically its representative), computed on first use. Counts
+  /// a miss when this call ran the solver and a hit otherwise, plus
+  /// `reads` further hits for the cells the caller reads from the table —
+  /// so a sweep reading a column through one table() call is accounted
+  /// exactly like one dispositions() call per cell.
+  const Table& table(net::Ipv4Address destination, uint64_t reads = 0);
 
   /// Disposition set of the flow injected at `source` destined to
-  /// `destination` (any address of a packet class, typically its
-  /// representative). Computes the per-node table for that destination on
-  /// first use. An unknown source reports NO_ROUTE, like trace_flow.
+  /// `destination`. An unknown source reports NO_ROUTE, like trace_flow.
   DispositionSet dispositions(const net::NodeName& source,
                               net::Ipv4Address destination);
 
   /// Precomputes the table for `destination`'s class (idempotent).
-  void warm(net::Ipv4Address destination);
+  void warm(net::Ipv4Address destination) { table(destination); }
 
   /// Partial solve: dispositions for `sources` only (returned in order),
   /// computing just those roots and the continuations they reach instead
   /// of the whole node table. The incremental splicer uses this when a
-  /// dirty column needs a handful of re-traced cells — paying solve_all's
-  /// O(nodes) there would erase the splice win. Memoized entries land in
-  /// the same class table, so a later warm()/dispositions() completes the
-  /// remaining roots without repeating work. Unknown sources report
-  /// NO_ROUTE, like dispositions().
-  std::vector<DispositionSet> dispositions_for(
-      const std::vector<net::NodeName>& sources, net::Ipv4Address destination);
+  /// dirty column needs a handful of re-traced cells — paying the full
+  /// solve's O(nodes) there would erase the splice win. Memoized entries
+  /// stay with the class, so a later table() completes the remaining
+  /// roots without repeating work. kNoNode sources report NO_ROUTE.
+  std::vector<DispositionSet> dispositions_for(const std::vector<NodeId>& sources,
+                                               net::Ipv4Address destination);
 
   /// Number of distinct destination classes resolved so far.
-  size_t classes_cached() const;
+  size_t classes_cached() const { return classes_.load(std::memory_order_relaxed); }
 
   /// Observability for long-lived caches (the service's per-snapshot
-  /// caches): a hit is a table_for() that found the class table already
+  /// caches): a hit is a lookup that found the class table already
   /// solved, a miss is one that ran the solver. hits/(hits+misses) is the
   /// memoization rate across every request served from this cache.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -100,27 +107,17 @@ class TraceCache {
   /// sharding by class never contend).
 
  private:
-  struct ClassTable {
-    /// Guards memo and fully_solved: partial solves append under the
-    /// lock, the full solve runs once under it, and after fully_solved
-    /// flips the memo is immutable (lock-free reads are safe).
-    std::mutex mutex;
-    bool fully_solved = false;
-    /// state key -> memoized continuation; populated for every node once
-    /// fully_solved.
-    std::unordered_map<uint64_t, TraceMemoEntry> memo;
-  };
+  struct ClassSlot;
 
-  ClassTable& slot_for(net::Ipv4Address destination);
-  ClassTable& table_for(net::Ipv4Address destination);
+  ClassSlot& slot_for(net::Ipv4Address destination);
+  void count(bool solved_here, uint64_t reads);
 
   const ForwardingGraph& graph_;
-  /// Stable node -> dense index mapping (for state keys).
-  std::map<net::NodeName, uint32_t> node_index_;
-  std::vector<net::NodeName> node_names_;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<uint32_t, std::unique_ptr<ClassTable>> tables_;
+  /// Buckets of singly linked slot chains. Slots are pushed with a CAS
+  /// and never unlinked until destruction, so lookups take no lock.
+  std::unique_ptr<std::atomic<ClassSlot*>[]> buckets_;
+  size_t bucket_mask_ = 0;
+  std::atomic<size_t> classes_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> reexpansions_{0};

@@ -159,6 +159,46 @@ TEST(ObsInstrumentation, ServicePublishesExactDeltas) {
   EXPECT_EQ(registry.counter("service_requests").value(), 7u);
 }
 
+// A query resolves its snapshot id with a store lookup that builds
+// nothing; it is a store hit, and both StoreStats::hits and the
+// snapshot_store_hits counter must say so.
+TEST(ObsInstrumentation, QueryOnStoredSnapshotCountsAStoreHit) {
+  obs::MetricsRegistry registry;
+  service::ServiceOptions options;
+  options.metrics = &registry;
+  options.capture_verify_base = false;
+  service::VerificationService svc(options);
+
+  service::Request upload = make_request(1, "upload_configs");
+  upload.params["topology"] = workload::fig2_topology().to_json();
+  service::Response uploaded = svc.execute(upload);
+  ASSERT_TRUE(uploaded.ok()) << uploaded.status().to_string();
+  const std::string submission = uploaded.result.find("submission")->as_string();
+  service::Request snapshot = make_request(2, "snapshot");
+  snapshot.params["submission"] = submission;
+  ASSERT_TRUE(svc.execute(snapshot).ok());
+  EXPECT_EQ(svc.store().stats().hits, 0u);
+  EXPECT_EQ(registry.counter("snapshot_store_hits").value(), 0u);
+
+  for (uint64_t id = 3; id <= 4; ++id) {
+    service::Request query = make_request(id, "query");
+    query.params["snapshot"] = submission;
+    query.params["kind"] = "pairwise";
+    service::Response answered = svc.execute(query);
+    ASSERT_TRUE(answered.ok()) << answered.status().to_string();
+    EXPECT_EQ(svc.store().stats().hits, id - 2);
+    EXPECT_EQ(registry.counter("snapshot_store_hits").value(), id - 2);
+  }
+  EXPECT_EQ(svc.store().stats().misses, 1u);
+
+  // An unknown id is neither a hit nor a build.
+  service::Request missing = make_request(5, "query");
+  missing.params["snapshot"] = "t0000000000000001-c0000000000000002-d0000000000000000";
+  EXPECT_FALSE(svc.execute(missing).ok());
+  EXPECT_EQ(svc.store().stats().hits, 2u);
+  EXPECT_EQ(svc.store().stats().misses, 1u);
+}
+
 TEST(ObsInstrumentation, ScenarioRunnerPublishesSweepMetrics) {
   emu::Topology topology = workload::fig2_topology();
   emu::Emulation emulation;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "util/thread_pool.hpp"
 #include "verify/queries.hpp"
@@ -93,6 +94,21 @@ std::string render(const ReachabilityResult& result) {
   return out.str();
 }
 
+std::string render(const PairwiseResult& result) {
+  std::ostringstream out;
+  out << result.reachable_pairs << "/" << result.total_pairs << "\n";
+  for (const PairwiseCell& cell : result.cells)
+    out << cell.source << " " << cell.destination << " " << cell.reachable << "\n";
+  return out.str();
+}
+
+std::string render(const DifferentialResult& result) {
+  std::ostringstream out;
+  out << result.classes << "/" << result.flows << "\n";
+  for (const DifferentialRow& row : result.rows) out << row.to_string() << "\n";
+  return out.str();
+}
+
 TEST(VerifyTsan, ParallelReachabilityMatchesSerial) {
   ForwardingGraph graph(fabric_snapshot(24));
   QueryOptions serial;
@@ -125,8 +141,9 @@ TEST(VerifyTsan, SharedTraceCacheAcrossConcurrentQueries) {
 TEST(VerifyTsan, ConcurrentWarmOfTheSameClassComputesOnce) {
   ForwardingGraph graph(fabric_snapshot(12));
   TraceCache cache(graph);
-  // All workers warm the same destinations: call_once must serialize the
-  // table build while concurrent distinct destinations proceed.
+  // All workers warm the same destinations: the per-class lock must
+  // serialize the table build while concurrent distinct destinations
+  // proceed.
   util::parallel_for_shards(8, 64, [&](size_t shard) {
     net::Ipv4Address destination =
         addr("10.1." + std::to_string(shard % 12) + ".1");
@@ -154,6 +171,47 @@ TEST(VerifyTsan, PairwiseParallelMatchesSerial) {
     EXPECT_EQ(parallel.cells[i].destination, expected.cells[i].destination);
     EXPECT_EQ(parallel.cells[i].reachable, expected.cells[i].reachable);
   }
+}
+
+// Pairwise and differential queries at the same time, all on one shared
+// base graph and one shared base TraceCache (plus one shared candidate
+// cache). The graph is immutable and class tables are published once, so
+// this is race-free and every answer matches the serial legacy engine.
+TEST(VerifyTsan, ConcurrentPairwiseAndDifferentialShareGraphAndCache) {
+  ForwardingGraph base(fabric_snapshot(16));
+  ForwardingGraph candidate(fabric_snapshot(20));
+  QueryOptions serial;
+  serial.threads = 1;
+  const std::string expected_pairwise = render(pairwise_reachability(base, serial));
+  const std::string expected_differential =
+      render(differential_reachability(base, candidate, serial));
+  EXPECT_NE(expected_differential.find("->"), std::string::npos);
+
+  TraceCache base_cache(base);
+  TraceCache candidate_cache(candidate);
+  constexpr int kWorkers = 8;
+  std::vector<std::string> answers(kWorkers);
+  std::vector<std::thread> workers;
+  for (int worker = 0; worker < kWorkers; ++worker) {
+    workers.emplace_back([&, worker] {
+      QueryOptions options;
+      options.threads = 2;
+      options.engine = EngineMode::kCached;
+      options.cache = &base_cache;
+      if (worker % 2 == 0) {
+        answers[worker] = render(pairwise_reachability(base, options));
+      } else {
+        options.candidate_cache = &candidate_cache;
+        answers[worker] = render(differential_reachability(base, candidate, options));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int worker = 0; worker < kWorkers; ++worker)
+    EXPECT_EQ(answers[worker],
+              worker % 2 == 0 ? expected_pairwise : expected_differential)
+        << worker;
+  EXPECT_GT(base_cache.hits(), 0u);
 }
 
 }  // namespace
