@@ -15,8 +15,10 @@
 // enough to actually run rather than just count.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "gnmi/gnmi.hpp"
@@ -33,7 +35,11 @@ struct SweepStats {
   size_t breaking_cuts = 0;
   size_t worst_broken_pairs = 0;
   std::string worst_cut;
+  /// Median wall time over `runs` repetitions, and the fastest and slowest.
   double ms = 0.0;
+  double ms_min = 0.0;
+  double ms_max = 0.0;
+  size_t runs = 1;
   /// Aggregated splice counters when the sweep verified incrementally.
   verify::IncrementalStats incremental;
   size_t fallbacks = 0;
@@ -43,6 +49,28 @@ double now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Repetitions per approach: one sweep on a shared host can read several
+/// times slower than the next, so a single timing cannot rank approaches.
+constexpr size_t kRepeats = 5;
+
+/// Runs `sweep` kRepeats times. Counts come from the last run (every run
+/// computes the same verdicts); `ms` becomes the median, with the spread.
+template <typename Sweep>
+SweepStats repeated(Sweep sweep) {
+  std::vector<double> ms;
+  SweepStats stats;
+  for (size_t i = 0; i < kRepeats; ++i) {
+    stats = sweep();
+    ms.push_back(stats.ms);
+  }
+  std::sort(ms.begin(), ms.end());
+  stats.ms = ms[ms.size() / 2];
+  stats.ms_min = ms.front();
+  stats.ms_max = ms.back();
+  stats.runs = ms.size();
+  return stats;
 }
 
 /// A3 asks "does the network survive the cut", i.e. router-to-router
@@ -145,7 +173,8 @@ void print_row(const char* label, const SweepStats& stats, double cold_ms) {
               stats.ms, per_sec, speedup, stats.breaking_cuts);
 }
 
-/// One A3_TIMING row (legacy line + JSON); `cold_ms` > 0 adds a speedup.
+/// One A3_TIMING row (legacy line + JSON): the median and spread of the
+/// repeated sweep; `cold_ms` > 0 adds a speedup of the medians.
 void record_sweep(const char* sweep, const char* approach, const SweepStats& stats,
                   double cold_ms) {
   mfv::util::Json fields = mfv::util::Json::object();
@@ -153,6 +182,9 @@ void record_sweep(const char* sweep, const char* approach, const SweepStats& sta
   fields["approach"] = approach;
   fields["scenarios"] = static_cast<uint64_t>(stats.scenarios);
   fields["ms"] = stats.ms;
+  fields["ms_min"] = stats.ms_min;
+  fields["ms_max"] = stats.ms_max;
+  fields["runs"] = static_cast<uint64_t>(stats.runs);
   if (cold_ms > 0 && stats.ms > 0) fields["speedup"] = cold_ms / stats.ms;
   if (stats.incremental.classes > 0 || stats.fallbacks > 0) {
     fields["splice_hits"] = static_cast<uint64_t>(stats.incremental.spliced);
@@ -185,13 +217,14 @@ void report() {
   base.run_to_convergence();
 
   std::vector<scenario::Scenario> k1 = scenario::single_link_cuts(topology);
-  SweepStats cold = sweep_cold(topology);
-  SweepStats forked_serial = sweep_forked(base, k1, /*threads=*/1);
-  SweepStats forked_threaded = sweep_forked(base, k1, /*threads=*/0);
+  SweepStats cold = repeated([&] { return sweep_cold(topology); });
+  SweepStats forked_serial = repeated([&] { return sweep_forked(base, k1, /*threads=*/1); });
+  SweepStats forked_threaded = repeated([&] { return sweep_forked(base, k1, /*threads=*/0); });
   SweepStats incremental_threaded =
-      sweep_forked(base, k1, /*threads=*/0, /*incremental=*/true);
+      repeated([&] { return sweep_forked(base, k1, /*threads=*/0, /*incremental=*/true); });
 
   std::printf("=== A3: Exhaustive what-if search, per-scenario emulation vs forking ===\n");
+  std::printf("(each sweep timed %zu times; ms = median)\n", kRepeats);
   std::printf("topology: %zu routers, %zu links (ring + chords)\n\n",
               topology.nodes.size(), topology.links.size());
   std::printf("single-link-cut sweep (k=1):\n");
@@ -226,7 +259,7 @@ void report() {
                 static_cast<unsigned long long>(choose(links, k)));
 
   std::vector<scenario::Scenario> k2 = scenario::k_link_cuts(topology, 2);
-  SweepStats k2_stats = sweep_forked(base, k2, /*threads=*/0);
+  SweepStats k2_stats = repeated([&] { return sweep_forked(base, k2, /*threads=*/0); });
   double k2_per_sec =
       k2_stats.ms > 0 ? 1000.0 * static_cast<double>(k2_stats.scenarios) / k2_stats.ms : 0.0;
   std::printf("\ndouble-link-cut sweep (k=2, forked threaded):\n");
@@ -237,7 +270,8 @@ void report() {
     std::printf("  worst pair of cuts          : %s (%zu pairs lost)\n",
                 k2_stats.worst_cut.c_str(), k2_stats.worst_broken_pairs);
   record_sweep("k2", "forked-threaded", k2_stats, 0);
-  SweepStats k2_incremental = sweep_forked(base, k2, /*threads=*/0, /*incremental=*/true);
+  SweepStats k2_incremental =
+      repeated([&] { return sweep_forked(base, k2, /*threads=*/0, /*incremental=*/true); });
   std::printf("  incremental rerun           : %.1f ms (%.2fx; %zu spliced / %zu "
               "retraced, %zu fallbacks)\n",
               k2_incremental.ms,
@@ -261,9 +295,9 @@ void report() {
   emu::Topology big_cuts = big;
   if (big_cuts.links.size() > 14) big_cuts.links.resize(14);
   std::vector<scenario::Scenario> big_k2 = scenario::k_link_cuts(big_cuts, 2);
-  SweepStats big_cold = sweep_forked(big_base, big_k2, /*threads=*/0);
-  SweepStats big_incremental =
-      sweep_forked(big_base, big_k2, /*threads=*/0, /*incremental=*/true);
+  SweepStats big_cold = repeated([&] { return sweep_forked(big_base, big_k2, /*threads=*/0); });
+  SweepStats big_incremental = repeated(
+      [&] { return sweep_forked(big_base, big_k2, /*threads=*/0, /*incremental=*/true); });
   std::printf("\n200-router WAN, k=2 over first 14 links (%zu scenarios):\n",
               big_k2.size());
   std::printf("  forked + cold verify        : %.1f ms\n", big_cold.ms);

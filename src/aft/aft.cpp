@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 namespace mfv::aft {
 
@@ -26,6 +27,62 @@ uint64_t Aft::add_group(std::vector<std::pair<uint64_t, uint64_t>> weighted_next
 void Aft::set_ipv4_entry(Ipv4Entry entry) {
   Tables& tables = mutate();
   tables.ipv4_entries[entry.prefix] = std::move(entry);
+}
+
+void Aft::erase_ipv4_entry(const net::Ipv4Prefix& prefix) {
+  if (tables_->ipv4_entries.count(prefix)) mutate().ipv4_entries.erase(prefix);
+}
+
+void Aft::renumber() {
+  Tables& tables = mutate();
+  // Value order of a hop; for the hops compile_fib emits it agrees with
+  // rib::ResolvedNextHop's order (absent interface = "", kNone < kPush).
+  auto value = [](const NextHop& hop) {
+    return std::make_tuple(hop.ip_address, hop.interface.value_or(""), hop.drop, hop.label_op,
+                           hop.label);
+  };
+  using Value = decltype(value(NextHop{}));
+  std::map<Value, uint64_t> hop_ids;
+  std::map<std::vector<std::pair<uint64_t, uint64_t>>, uint64_t> group_ids;
+  // Old group id -> new id (0 = not yet seen). Ids at or past the counter
+  // name no group; they share the last slot (all resolve to no members).
+  std::vector<uint64_t> remap(tables.group_counter + 1, 0);
+  std::map<uint64_t, NextHop> next_hops;
+  std::map<uint64_t, NextHopGroup> groups;
+  std::vector<std::pair<const NextHop*, uint64_t>> members;
+  for (auto& [prefix, entry] : tables.ipv4_entries) {
+    uint64_t& id = remap[std::min<uint64_t>(entry.next_hop_group, tables.group_counter)];
+    if (id == 0) {
+      members.clear();
+      if (auto group = tables.groups.find(entry.next_hop_group); group != tables.groups.end())
+        for (const auto& [index, weight] : group->second.next_hops)
+          if (auto hop = tables.next_hops.find(index); hop != tables.next_hops.end())
+            members.emplace_back(&hop->second, weight);
+      std::sort(members.begin(), members.end(), [&](const auto& a, const auto& b) {
+        return value(*a.first) < value(*b.first);
+      });
+      std::vector<std::pair<uint64_t, uint64_t>> weighted;
+      for (const auto& [hop, weight] : members) {
+        auto [it, added] = hop_ids.try_emplace(value(*hop), hop_ids.size() + 1);
+        if (added) {
+          NextHop copy = *hop;
+          copy.index = it->second;
+          next_hops.emplace(it->second, std::move(copy));
+        }
+        weighted.emplace_back(it->second, weight);
+      }
+      std::sort(weighted.begin(), weighted.end());
+      weighted.erase(std::unique(weighted.begin(), weighted.end()), weighted.end());
+      auto [it, added] = group_ids.try_emplace(weighted, group_ids.size() + 1);
+      if (added) groups.emplace(it->second, NextHopGroup{it->second, weighted});
+      id = it->second;
+    }
+    entry.next_hop_group = id;
+  }
+  tables.next_hops = std::move(next_hops);
+  tables.groups = std::move(groups);
+  tables.next_hop_counter = hop_ids.size() + 1;
+  tables.group_counter = group_ids.size() + 1;
 }
 
 void Aft::set_label_entry(LabelEntry entry) { mutate().label_entries[entry.label] = entry; }
@@ -70,38 +127,64 @@ std::vector<NextHop> Aft::forward(net::Ipv4Address destination) const {
   return hops;
 }
 
-bool Aft::forwarding_equal(const Aft& other) const {
-  if (&*tables_ == &*other.tables_) return true;  // shared storage
-  if (tables_->ipv4_entries.size() != other.tables_->ipv4_entries.size()) return false;
-  if (tables_->label_entries.size() != other.tables_->label_entries.size()) return false;
-  auto resolved = [](const Aft& aft, uint64_t group_id) {
-    // Canonical, index-free view of one entry's action set.
-    std::set<std::tuple<std::string, std::string, bool, int, uint32_t>> actions;
-    const NextHopGroup* nhg = aft.group(group_id);
-    if (nhg == nullptr) return actions;
-    for (const auto& [index, weight] : nhg->next_hops) {
-      const NextHop* nh = aft.next_hop(index);
-      if (nh == nullptr) continue;
-      actions.emplace(nh->ip_address ? nh->ip_address->to_string() : "",
-                      nh->interface.value_or(""), nh->drop,
-                      static_cast<int>(nh->label_op), nh->label);
-    }
-    return actions;
-  };
-  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
-    const Ipv4Entry* theirs = other.ipv4_entry(prefix);
-    if (theirs == nullptr) return false;
-    if (resolved(*this, entry.next_hop_group) != resolved(other, theirs->next_hop_group))
-      return false;
+namespace {
+
+/// Canonical, index-free view of one entry's action set.
+std::set<std::tuple<std::string, std::string, bool, int, uint32_t>> resolved_actions(
+    const Aft& aft, uint64_t group_id) {
+  std::set<std::tuple<std::string, std::string, bool, int, uint32_t>> actions;
+  const NextHopGroup* nhg = aft.group(group_id);
+  if (nhg == nullptr) return actions;
+  for (const auto& [index, weight] : nhg->next_hops) {
+    const NextHop* nh = aft.next_hop(index);
+    if (nh == nullptr) continue;
+    actions.emplace(nh->ip_address ? nh->ip_address->to_string() : "",
+                    nh->interface.value_or(""), nh->drop, static_cast<int>(nh->label_op),
+                    nh->label);
   }
-  for (const auto& [label, entry] : tables_->label_entries) {
-    auto it = other.tables_->label_entries.find(label);
-    if (it == other.tables_->label_entries.end()) return false;
-    if (resolved(*this, entry.next_hop_group) !=
-        resolved(other, it->second.next_hop_group))
+  return actions;
+}
+
+bool same_labels(const Aft& a, const Aft& b) {
+  if (a.label_entries().size() != b.label_entries().size()) return false;
+  for (const auto& [label, entry] : a.label_entries()) {
+    auto it = b.label_entries().find(label);
+    if (it == b.label_entries().end()) return false;
+    if (resolved_actions(a, entry.next_hop_group) !=
+        resolved_actions(b, it->second.next_hop_group))
       return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool Aft::forwarding_equal(const Aft& other) const {
+  if (&*tables_ == &*other.tables_) return true;  // shared storage
+  if (tables_->ipv4_entries.size() != other.tables_->ipv4_entries.size()) return false;
+  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
+    const Ipv4Entry* theirs = other.ipv4_entry(prefix);
+    if (theirs == nullptr) return false;
+    if (resolved_actions(*this, entry.next_hop_group) !=
+        resolved_actions(other, theirs->next_hop_group))
+      return false;
+  }
+  return same_labels(*this, other);
+}
+
+bool Aft::forwarding_equal(const Aft& other,
+                           const std::vector<net::Ipv4Prefix>& prefixes) const {
+  if (&*tables_ == &*other.tables_) return true;  // shared storage
+  if (tables_->ipv4_entries.size() != other.tables_->ipv4_entries.size()) return false;
+  for (const net::Ipv4Prefix& prefix : prefixes) {
+    const Ipv4Entry* ours = ipv4_entry(prefix);
+    const Ipv4Entry* theirs = other.ipv4_entry(prefix);
+    if ((ours == nullptr) != (theirs == nullptr)) return false;
+    if (ours != nullptr && resolved_actions(*this, ours->next_hop_group) !=
+                               resolved_actions(other, theirs->next_hop_group))
+      return false;
+  }
+  return same_labels(*this, other);
 }
 
 std::string label_op_name(LabelOp op) {

@@ -101,7 +101,17 @@ class Aft {
   }
 
   void set_ipv4_entry(Ipv4Entry entry);
+  void erase_ipv4_entry(const net::Ipv4Prefix& prefix);
   void set_label_entry(LabelEntry entry);
+
+  /// Renumbers next hops and groups canonically: in order of first use by
+  /// the ipv4 entries (prefix order), numbering a group's not yet numbered
+  /// hops in value order and listing its members by index. Equal hops and
+  /// equal groups merge; unused ones go, and the counters restart after
+  /// the last id. rib::compile_fib emits tables already in this form, so
+  /// a patched table renumbered here is byte-identical to a full compile.
+  /// Label entries must be absent.
+  void renumber();
 
   const std::map<uint64_t, NextHop>& next_hops() const { return tables_->next_hops; }
   const std::map<uint64_t, NextHopGroup>& groups() const { return tables_->groups; }
@@ -144,6 +154,9 @@ class Aft {
   /// predicate the convergence detector polls (§5: "we detect convergence
   /// once we observe the dataplane to stabilize at all routers").
   bool forwarding_equal(const Aft& other) const;
+  /// forwarding_equal for a table patched from `other`: compares the ipv4
+  /// entries at `prefixes` only, trusting every other entry to be a copy.
+  bool forwarding_equal(const Aft& other, const std::vector<net::Ipv4Prefix>& prefixes) const;
 
   util::Json to_json() const;
   static util::Result<Aft> from_json(const util::Json& json);

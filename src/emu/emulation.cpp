@@ -111,6 +111,8 @@ void Emulation::wire_metrics() {
   dropped_counter_ = &metrics->counter("emu_messages_dropped");
   convergence_runs_counter_ = &metrics->counter("emu_convergence_runs");
   events_counter_ = &metrics->counter("emu_events_processed");
+  fib_compiles_counter_ = &metrics->counter("emu_fib_compiles");
+  fib_entries_counter_ = &metrics->counter("emu_fib_entries_compiled");
   convergence_wall_us_ = &metrics->latency_histogram_us("emu_convergence_wall_us");
   convergence_virtual_us_ =
       &metrics->latency_histogram_us("emu_convergence_virtual_us");
@@ -313,9 +315,21 @@ bool Emulation::run_to_convergence(uint64_t max_events) {
   uint64_t events_before = kernel_.executed();
   util::TimePoint virtual_before = kernel_.now();
   auto wall_before = std::chrono::steady_clock::now();
+  auto fib_work = [&] {
+    std::pair<uint64_t, uint64_t> work{0, 0};
+    for (const auto& [name, router] : routers_) {
+      work.first += router->fib_compiles();
+      work.second += router->fib_entries_compiled();
+    }
+    return work;
+  };
+  const auto fib_before = fib_work();
   bool converged = run_events(max_events);
+  const auto fib_after = fib_work();
   convergence_runs_counter_->add(1);
   events_counter_->add(kernel_.executed() - events_before);
+  fib_compiles_counter_->add(fib_after.first - fib_before.first);
+  fib_entries_counter_->add(fib_after.second - fib_before.second);
   convergence_wall_us_->observe(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - wall_before)

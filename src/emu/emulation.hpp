@@ -293,6 +293,9 @@ class Emulation final : public vrouter::Fabric {
   obs::Counter* dropped_counter_ = nullptr;
   obs::Counter* convergence_runs_counter_ = nullptr;
   obs::Counter* events_counter_ = nullptr;
+  /// Sums of the routers' own FIB work counters over each run.
+  obs::Counter* fib_compiles_counter_ = nullptr;
+  obs::Counter* fib_entries_counter_ = nullptr;
   obs::Histogram* convergence_wall_us_ = nullptr;
   obs::Histogram* convergence_virtual_us_ = nullptr;
   obs::Counter* sharded_runs_counter_ = nullptr;

@@ -74,14 +74,19 @@ enum Oracle : uint32_t {
   /// is too large or the exploration hit a cap — membership is only a
   /// theorem for complete enumerations.
   kOracleExplore = 1u << 6,
+  /// Delta FIB install vs full compile: after boot and after each
+  /// perturbation's re-convergence, every router's installed tables must
+  /// forward like a full compile of its RIBs, and match it byte for byte
+  /// wherever the RIB's dirty set is empty.
+  kOracleFib = 1u << 7,
 
   kOracleAll = kOracleEngines | kOracleFork | kOracleStore | kOracleDialect |
-               kOracleSharded | kOracleIncremental | kOracleExplore,
+               kOracleSharded | kOracleIncremental | kOracleExplore | kOracleFib,
 };
 
 std::string oracle_name(uint32_t oracle);
 /// Parses "engines" / "fork" / "store" / "dialect" / "sharded" /
-/// "incremental" / "explore" / "all".
+/// "incremental" / "explore" / "fib" / "all".
 std::optional<uint32_t> parse_oracle(std::string_view name);
 
 /// One self-contained fuzz case. Exactly one of topology/snapshot is

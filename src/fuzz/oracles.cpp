@@ -521,6 +521,54 @@ Verdict check_explore(const FuzzCase& c) {
   return pass(kOracleExplore);
 }
 
+// -- oracle 8: delta FIB install vs full compile ----------------------------
+
+/// First router whose installed tables disagree with a full compile of its
+/// RIBs: in forwarding always, in bytes where the RIB is clean (a table
+/// kept because it forwarded the same may lag in metric or origin until
+/// the next install). Empty when all agree.
+std::string fib_divergence(const emu::Emulation& emulation) {
+  auto check = [](const rib::Rib& rib, const aft::Aft& installed, const aft::Aft& full) {
+    if (!installed.forwarding_equal(full)) return "forwards unlike a full compile";
+    bool clean = !rib.fully_dirty() && rib.dirty().empty();
+    if (clean && installed.to_json().dump() != full.to_json().dump())
+      return "clean RIB, installed bytes differ from a full compile";
+    return "";
+  };
+  for (const net::NodeName& name : emulation.node_names()) {
+    const vrouter::VirtualRouter& router = *emulation.router(name);
+    if (std::string why = check(router.routing_table(), router.fib(), router.compiled_fib());
+        !why.empty())
+      return name + ": " + why;
+    for (const auto& [vrf, vrf_rib] : router.vrf_routing_tables()) {
+      auto installed = router.vrf_fibs().find(vrf);
+      if (installed == router.vrf_fibs().end()) return name + " vrf " + vrf + ": not installed";
+      if (std::string why = check(vrf_rib, installed->second, rib::compile_fib(vrf_rib));
+          !why.empty())
+        return name + " vrf " + vrf + ": " + why;
+    }
+  }
+  return "";
+}
+
+Verdict check_fib(const FuzzCase& c) {
+  emu::Emulation emulation;
+  if (!emulation.add_topology(c.topology).ok())
+    return pass(kOracleFib, "skipped: topology rejected");
+  emulation.start_all();
+  if (!emulation.run_to_convergence()) return pass(kOracleFib, "skipped: unconverged");
+  if (std::string why = fib_divergence(emulation); !why.empty())
+    return fail(kOracleFib, "after boot: " + why);
+  for (size_t i = 0; i < c.perturbations.size(); ++i) {
+    scenario::ScenarioRunner::apply(emulation, c.perturbations[i]);
+    if (!emulation.run_to_convergence())
+      return pass(kOracleFib, "skipped: perturbed network did not re-converge");
+    if (std::string why = fib_divergence(emulation); !why.empty())
+      return fail(kOracleFib, "after perturbation " + std::to_string(i + 1) + ": " + why);
+  }
+  return pass(kOracleFib);
+}
+
 }  // namespace
 
 std::vector<Verdict> run_oracles(const FuzzCase& c, uint32_t mask) {
@@ -533,6 +581,7 @@ std::vector<Verdict> run_oracles(const FuzzCase& c, uint32_t mask) {
   if (applicable & kOracleSharded) verdicts.push_back(check_sharded(c));
   if (applicable & kOracleIncremental) verdicts.push_back(check_incremental(c));
   if (applicable & kOracleExplore) verdicts.push_back(check_explore(c));
+  if (applicable & kOracleFib) verdicts.push_back(check_fib(c));
   return verdicts;
 }
 

@@ -11,8 +11,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,18 +74,37 @@ class Rib {
   // Copying resets the lazily built presence trie instead of cloning it:
   // the trie is a pure cache over `routes_` and rebuilds on first LPM.
   // This is what makes a RIB (and hence a whole router) forkable for the
-  // scenario engine. Moves keep the trie (node ownership transfers).
-  Rib(const Rib& other) : routes_(other.routes_) {}
+  // scenario engine. A copy carries the dirty set along with the routes
+  // (a fork shares its base's installed FIB). Moves keep the trie (node
+  // ownership transfers). Assignment replaces the contents wholesale, so
+  // it leaves the RIB fully dirty.
+  Rib(const Rib& other)
+      : routes_(other.routes_),
+        prefix_count_(other.prefix_count_),
+        dirty_(other.dirty_),
+        all_dirty_(other.all_dirty_),
+        recursive_routes_(other.recursive_routes_) {}
   Rib& operator=(const Rib& other) {
     if (this != &other) {
       routes_ = other.routes_;
+      prefix_count_ = other.prefix_count_;
+      recursive_routes_ = other.recursive_routes_;
       trie_.clear();
       trie_valid_ = false;
+      mark_all_dirty();
     }
     return *this;
   }
   Rib(Rib&&) = default;
-  Rib& operator=(Rib&&) = default;
+  Rib& operator=(Rib&& other) {
+    routes_ = std::move(other.routes_);
+    prefix_count_ = other.prefix_count_;
+    recursive_routes_ = other.recursive_routes_;
+    trie_ = std::move(other.trie_);
+    trie_valid_ = other.trie_valid_;
+    mark_all_dirty();
+    return *this;
+  }
 
   /// Inserts or replaces (by slot identity). Returns true if the best-route
   /// set for the prefix changed.
@@ -103,7 +123,8 @@ class Rib {
   /// whose route set is already identical are left untouched (the presence
   /// trie survives when the prefix set is stable). Returns true only when
   /// something actually changed, giving SPF-style full reinstalls a precise
-  /// signal for notify_rib_changed().
+  /// signal for notify_rib_changed(). One merge-join pass over `fresh`
+  /// (stably sorted by prefix) and the table.
   bool replace_protocol(Protocol protocol, const std::string& source,
                         std::vector<RibRoute> fresh);
 
@@ -121,18 +142,61 @@ class Rib {
       const std::function<void(const net::Ipv4Prefix&, const std::vector<RibRoute>&)>& visit)
       const;
 
-  size_t prefix_count() const { return routes_.size(); }
-  size_t route_count() const;
+  size_t prefix_count() const { return prefix_count_; }
+  size_t route_count() const { return routes_.size(); }
+
+  // -- dirty tracking (delta FIB install, see update_fib) --
+  //
+  // The dirty set names the prefixes whose best set may have changed since
+  // the FIB compiled from this RIB was last installed. Every mutator adds
+  // to it; only mark_installed() clears it. A new or assigned RIB is fully
+  // dirty: no installed table is known to match any part of it.
+
+  bool fully_dirty() const { return all_dirty_; }
+  /// Meaningful only while !fully_dirty().
+  const std::set<net::Ipv4Prefix>& dirty() const { return dirty_; }
+  /// Records that the table compiled from the current contents is installed.
+  void mark_installed() {
+    dirty_.clear();
+    all_dirty_ = false;
+  }
+  /// Prefixes whose FIB entry may differ from the installed table's: the
+  /// dirty set plus, when it is non-empty, every prefix holding a
+  /// recursively resolved route (its resolution reads other prefixes).
+  /// Sorted. Meaningful only while !fully_dirty().
+  std::vector<net::Ipv4Prefix> stale_prefixes() const;
 
  private:
-  std::vector<RibRoute> select_best(const std::vector<RibRoute>& routes) const;
+  using Slot = std::span<const RibRoute>;
+  /// The routes of `prefix`: a contiguous run of routes_, empty if none.
+  /// Its position is slot.data() - routes_.data().
+  Slot slot(const net::Ipv4Prefix& prefix) const;
+  /// End of the run starting at `begin`.
+  size_t run_end(size_t begin) const;
+  static std::vector<RibRoute> select_best(Slot routes);
   void rebuild_trie() const;
   /// Incremental trie upkeep on slot creation/removal: a valid trie stays
   /// valid across mutations (full rebuilds happen only after a copy).
   void prefix_added(const net::Ipv4Prefix& prefix);
   void prefix_removed(const net::Ipv4Prefix& prefix);
+  void mark_dirty(const net::Ipv4Prefix& prefix) {
+    if (!all_dirty_) dirty_.insert(prefix);
+  }
+  void mark_all_dirty() {
+    dirty_.clear();
+    all_dirty_ = true;
+  }
 
-  std::map<net::Ipv4Prefix, std::vector<RibRoute>> routes_;
+  /// Every route, sorted by prefix; one prefix's routes (its slot) are a
+  /// contiguous run in insertion order. One flat array keeps a copy (a
+  /// fork) to one allocation and install passes sequential.
+  std::vector<RibRoute> routes_;
+  size_t prefix_count_ = 0;
+  std::set<net::Ipv4Prefix> dirty_;
+  bool all_dirty_ = true;
+  /// Routes whose next hop resolves through other prefixes; zero spares
+  /// stale_prefixes() its walk over the table.
+  size_t recursive_routes_ = 0;
   mutable net::PrefixTrie<bool> trie_;  // presence trie for LPM
   mutable bool trie_valid_ = false;
 };
@@ -153,7 +217,33 @@ struct ResolvedNextHop {
 std::vector<ResolvedNextHop> resolve(const Rib& rib, const RibRoute& route, int max_depth = 16);
 
 /// Compiles the RIB into an AFT: best routes, recursive resolution,
-/// ECMP groups, deduplicated next hops.
+/// ECMP groups, deduplicated next hops. Next hops and groups are numbered
+/// canonically (see aft::Aft::renumber), so the table is a function of
+/// the best sets alone.
 aft::Aft compile_fib(const Rib& rib);
+
+/// A FIB recompiled against the table currently installed from the RIB.
+struct FibUpdate {
+  /// Byte-identical to compile_fib(rib).
+  aft::Aft fib;
+  /// Best sets resolved to build it (the whole table on the full path).
+  size_t entries_resolved = 0;
+  /// The prefixes the delta path re-resolved; every other ipv4 entry was
+  /// carried over from the installed table. Unset after a full compile.
+  std::optional<std::vector<net::Ipv4Prefix>> patched;
+
+  /// Forwarding equality with the installed table, compared only where the
+  /// two can differ (plus label entries, which callers may append).
+  bool forwards_like(const aft::Aft& installed) const;
+};
+
+/// Recompiles `rib` given `installed`, the table compiled from it at its
+/// last mark_installed() (nullptr: none yet). Patches a copy of
+/// `installed`, re-resolving only rib.stale_prefixes(), then renumbers.
+/// Compiles in full instead when there is no installed table, the RIB is
+/// fully dirty, most of it is stale anyway, or `installed` carries label
+/// entries (they are appended after the ipv4 entries and cannot be
+/// patched in place).
+FibUpdate update_fib(const Rib& rib, const aft::Aft* installed);
 
 }  // namespace mfv::rib

@@ -133,6 +133,11 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   }
 
   util::Result<std::unique_ptr<StoredSnapshot>> built = builder();
+  // Size the entry before taking the lock: no other thread can see it yet,
+  // and serializing a 200-router snapshot takes ~100 ms that store hits
+  // would otherwise wait out.
+  if (built.ok() && *built != nullptr && (*built)->bytes == 0)
+    (*built)->bytes = (*built)->snapshot.to_json().dump().size();
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (!built.ok() || *built == nullptr) {
@@ -147,7 +152,6 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   entry->key = key;
   entry->tenant = tenant;
   entry->content_check = content_check;
-  if (entry->bytes == 0) entry->bytes = entry->snapshot.to_json().dump().size();
 
   TenantStoreStats& tenant_stats = tenants_[tenant];
   if (options_.tenant_byte_budget > 0 && entry->bytes > options_.tenant_byte_budget) {

@@ -49,7 +49,9 @@ VirtualRouter::VirtualRouter(const VirtualRouter& other, Fabric& fabric)
       vrf_fibs_(other.vrf_fibs_),
       fib_version_(other.fib_version_),
       last_fib_change_(other.last_fib_change_),
-      fib_compile_pending_(other.fib_compile_pending_) {
+      fib_compile_pending_(other.fib_compile_pending_),
+      fib_compiles_(other.fib_compiles_),
+      fib_entries_compiled_(other.fib_entries_compiled_) {
   // Engines are forked against *this* router's env so their callbacks and
   // RIB writes land in the clone. BGP rebinds its policy pointers to our
   // config copy.
@@ -302,44 +304,61 @@ void VirtualRouter::schedule_fib_compile() {
   });
 }
 
-void VirtualRouter::compile_fib_now() {
-  aft::Aft fresh = rib::compile_fib(rib_);
-  std::map<std::string, aft::Aft> fresh_vrf;
-  for (const auto& [vrf, vrf_rib] : vrf_ribs_) fresh_vrf[vrf] = rib::compile_fib(vrf_rib);
+void VirtualRouter::append_label_entries(aft::Aft& fib) const {
   // MPLS forwarding state: RSVP-TE transit/tail bindings become label
   // entries (swap toward the recorded downstream, or pop at the tail).
-  if (te_ != nullptr) {
-    for (const auto& [label, binding] : te_->label_bindings()) {
-      aft::NextHop hop;
-      if (binding.out_label) {
-        hop.label_op = aft::LabelOp::kSwap;
-        hop.label = *binding.out_label;
-        hop.ip_address = binding.downstream;
-        if (binding.downstream)
-          for (const rib::RibRoute& route : rib_.longest_match(*binding.downstream))
-            if (route.interface) {
-              hop.interface = route.interface;
-              break;
-            }
-      } else {
-        hop.label_op = aft::LabelOp::kPop;
-      }
-      uint64_t group = fresh.add_group(fresh.add_next_hop(hop));
-      fresh.set_label_entry({binding.in_label, group});
+  if (te_ == nullptr) return;
+  for (const auto& [label, binding] : te_->label_bindings()) {
+    aft::NextHop hop;
+    if (binding.out_label) {
+      hop.label_op = aft::LabelOp::kSwap;
+      hop.label = *binding.out_label;
+      hop.ip_address = binding.downstream;
+      if (binding.downstream)
+        for (const rib::RibRoute& route : rib_.longest_match(*binding.downstream))
+          if (route.interface) {
+            hop.interface = route.interface;
+            break;
+          }
+    } else {
+      hop.label_op = aft::LabelOp::kPop;
     }
+    uint64_t group = fib.add_group(fib.add_next_hop(hop));
+    fib.set_label_entry({binding.in_label, group});
   }
-  bool vrf_equal = fresh_vrf.size() == vrf_fibs_.size();
-  if (vrf_equal)
-    for (const auto& [vrf, aft] : fresh_vrf) {
-      auto it = vrf_fibs_.find(vrf);
-      if (it == vrf_fibs_.end() || !aft.forwarding_equal(it->second)) {
-        vrf_equal = false;
-        break;
-      }
-    }
-  if (fresh.forwarding_equal(*fib_) && vrf_equal) return;
-  fib_ = std::make_shared<const aft::Aft>(std::move(fresh));
-  vrf_fibs_ = std::move(fresh_vrf);
+}
+
+aft::Aft VirtualRouter::compiled_fib() const {
+  aft::Aft fib = rib::compile_fib(rib_);
+  append_label_entries(fib);
+  return fib;
+}
+
+void VirtualRouter::compile_fib_now() {
+  // Each table is patched from the installed one where its RIB allows
+  // (rib::update_fib); either way it is byte-identical to a full compile.
+  ++fib_compiles_;
+  rib::FibUpdate fresh = rib::update_fib(rib_, fib_.get());
+  append_label_entries(fresh.fib);
+  fib_entries_compiled_ += fresh.entries_resolved;
+  bool equal = fresh.forwards_like(*fib_);
+  std::map<std::string, rib::FibUpdate> fresh_vrf;
+  for (const auto& [vrf, vrf_rib] : vrf_ribs_) {
+    auto installed = vrf_fibs_.find(vrf);
+    rib::FibUpdate update =
+        rib::update_fib(vrf_rib, installed == vrf_fibs_.end() ? nullptr : &installed->second);
+    fib_entries_compiled_ += update.entries_resolved;
+    equal = equal && installed != vrf_fibs_.end() && update.forwards_like(installed->second);
+    fresh_vrf.emplace(vrf, std::move(update));
+  }
+  // Keep the installed tables while forwarding is unchanged; the dirty
+  // sets then keep naming what a later patch must re-resolve.
+  if (equal && fresh_vrf.size() == vrf_fibs_.size()) return;
+  fib_ = std::make_shared<const aft::Aft>(std::move(fresh.fib));
+  vrf_fibs_.clear();
+  for (auto& [vrf, update] : fresh_vrf) vrf_fibs_.emplace(vrf, std::move(update.fib));
+  rib_.mark_installed();
+  for (auto& [vrf, vrf_rib] : vrf_ribs_) vrf_rib.mark_installed();
   ++fib_version_;
   last_fib_change_ = fabric_.now();
 }

@@ -116,6 +116,15 @@ class VirtualRouter final : public proto::RouterEnv {
   /// Monotonic counter bumped whenever forwarding behaviour changes.
   uint64_t fib_version() const { return fib_version_; }
   util::TimePoint last_fib_change() const { return last_fib_change_; }
+  /// What a full compile of the current RIB (plus TE label entries) yields.
+  /// Installed tables match it byte for byte while the RIB is clean.
+  aft::Aft compiled_fib() const;
+
+  // -- work counters (summed by Emulation into emu_fib_*) --
+  /// FIB compiles run (one per coalesced RIB change, all tables at once).
+  uint64_t fib_compiles() const { return fib_compiles_; }
+  /// Best sets resolved by those compiles, across the default and VRF RIBs.
+  uint64_t fib_entries_compiled() const { return fib_entries_compiled_; }
 
   // -- observability / CLI --
   const config::DeviceConfig& configuration() const { return config_; }
@@ -125,6 +134,9 @@ class VirtualRouter final : public proto::RouterEnv {
     auto it = vrf_ribs_.find(vrf);
     return it == vrf_ribs_.end() ? nullptr : &it->second;
   }
+  const std::map<std::string, rib::Rib>& vrf_routing_tables() const { return vrf_ribs_; }
+  /// Installed non-default VRF tables, keyed like vrf_routing_tables().
+  const std::map<std::string, aft::Aft>& vrf_fibs() const { return vrf_fibs_; }
   const proto::IsisEngine* isis() const { return isis_.get(); }
   const proto::OspfEngine* ospf() const { return ospf_.get(); }
   const proto::BgpEngine* bgp() const { return bgp_.get(); }
@@ -150,6 +162,7 @@ class VirtualRouter final : public proto::RouterEnv {
   void install_static_routes();
   void schedule_fib_compile();
   void compile_fib_now();
+  void append_label_entries(aft::Aft& fib) const;
   /// Fans the current RIB state out to engines that react to RIB changes.
   void propagate_rib_change();
 
@@ -183,6 +196,8 @@ class VirtualRouter final : public proto::RouterEnv {
   util::TimePoint last_fib_change_;
   bool fib_compile_pending_ = false;
   bool propagating_ = false;
+  uint64_t fib_compiles_ = 0;
+  uint64_t fib_entries_compiled_ = 0;
 };
 
 }  // namespace mfv::vrouter

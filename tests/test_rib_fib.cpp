@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "rib/rib.hpp"
+#include "util/rng.hpp"
 
 namespace mfv::rib {
 namespace {
@@ -199,6 +200,197 @@ TEST(CompileFib, IdenticalRibsCompileForwardingEqual) {
   aft::Aft a = compile_fib(typical_rib());
   aft::Aft b = compile_fib(typical_rib());
   EXPECT_TRUE(a.forwarding_equal(b));
+}
+
+
+// -- delta compile ≡ full compile -------------------------------------------
+
+/// A random route of one of the kinds a router installs: connected,
+/// interface or recursive static, drop, IS-IS, recursive BGP/iBGP and
+/// labelled TE. Prefixes and next hops share one small pool, so routes
+/// resolve through each other, shadow each other and sometimes through
+/// themselves.
+RibRoute random_route(util::Pcg32& rng) {
+  const uint32_t net = rng.next_below(24);
+  const uint8_t length = static_cast<uint8_t>(16 + 8 * rng.next_below(3));
+  RibRoute route;
+  route.prefix = net::Ipv4Prefix(net::Ipv4Address(10, static_cast<uint8_t>(net % 6),
+                                                  static_cast<uint8_t>(net / 6), 1),
+                                 length);
+  const net::Ipv4Address hop(10, static_cast<uint8_t>(rng.next_below(6)),
+                             static_cast<uint8_t>(rng.next_below(4)), 1);
+  const std::string interface = "Ethernet" + std::to_string(rng.next_below(4));
+  switch (rng.next_below(7)) {
+    case 0:
+      route.protocol = Protocol::kConnected;
+      route.interface = interface;
+      route.source = interface;
+      break;
+    case 1:
+      route.protocol = Protocol::kStatic;
+      route.next_hop = hop;
+      if (rng.next_below(2)) route.interface = interface;
+      route.source = "static";
+      break;
+    case 2:
+      route.protocol = Protocol::kStatic;
+      route.drop = true;
+      route.source = "static";
+      break;
+    case 3:
+      route.protocol = Protocol::kIsis;
+      route.next_hop = hop;
+      route.interface = interface;
+      route.metric = rng.next_below(3);
+      route.source = "default";
+      break;
+    case 4:
+    case 5:
+      route.protocol = rng.next_below(2) ? Protocol::kBgp : Protocol::kIbgp;
+      route.next_hop = hop;
+      route.metric = rng.next_below(2);
+      route.source = "bgp";
+      break;
+    default:
+      route.protocol = Protocol::kTe;
+      route.next_hop = hop;
+      route.push_label = 100000 + rng.next_below(3);
+      route.source = "tunnel" + std::to_string(rng.next_below(2));
+      break;
+  }
+  route.admin_distance = default_admin_distance(route.protocol);
+  return route;
+}
+
+void mutate(Rib& rib, util::Pcg32& rng) {
+  switch (rng.next_below(8)) {
+    case 0:
+    case 1:
+    case 2:
+      rib.add(random_route(rng));
+      break;
+    case 3: {
+      RibRoute route = random_route(rng);
+      std::vector<RibRoute> present = rib.candidates(route.prefix);
+      if (!present.empty()) rib.remove(present[rng.next_below(static_cast<uint32_t>(present.size()))]);
+      break;
+    }
+    case 4:
+      rib.clear_protocol(rng.next_below(2) ? Protocol::kStatic : Protocol::kConnected);
+      break;
+    default: {
+      // An SPF/BGP-style reinstall: mostly the same routes, a few changed.
+      const Protocol protocol = rng.next_below(2) ? Protocol::kIsis : Protocol::kBgp;
+      std::vector<RibRoute> fresh;
+      rib.for_each_best([&](const net::Ipv4Prefix& prefix, const std::vector<RibRoute>&) {
+        for (const RibRoute& route : rib.candidates(prefix))
+          if (route.protocol == protocol && rng.next_below(8) != 0) fresh.push_back(route);
+      });
+      for (uint32_t i = rng.next_below(3); i > 0; --i) {
+        RibRoute route = random_route(rng);
+        if (route.protocol == protocol) fresh.push_back(route);
+      }
+      rib.replace_protocol(protocol, protocol == Protocol::kIsis ? "default" : "bgp",
+                           std::move(fresh));
+      break;
+    }
+  }
+}
+
+TEST(DeltaFib, PatchedTableIsByteIdenticalToFullCompile) {
+  size_t patched = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    util::Pcg32 rng(seed);
+    // A default RIB with every route kind and a VRF-style RIB of connected
+    // and static routes, each with the table installed from it.
+    Rib ribs[2];
+    std::optional<aft::Aft> installed[2];
+    for (int i = 0; i < 60; ++i) ribs[0].add(random_route(rng));
+    for (int step = 0; step < 40; ++step) {
+      for (int table = 0; table < 2; ++table) {
+        Rib& rib = ribs[table];
+        for (uint32_t n = 1 + rng.next_below(3); n > 0; --n) {
+          if (table == 0) {
+            mutate(rib, rng);
+          } else {
+            RibRoute route = random_route(rng);
+            if (route.protocol == Protocol::kConnected || route.protocol == Protocol::kStatic)
+              rng.next_below(3) ? void(rib.add(route)) : void(rib.remove(route));
+          }
+        }
+        if (rng.next_below(3) == 0) continue;  // coalesce: let the dirty set grow
+        FibUpdate update = update_fib(rib, installed[table] ? &*installed[table] : nullptr);
+        aft::Aft full = compile_fib(rib);
+        ASSERT_EQ(update.fib.to_json().dump(), full.to_json().dump())
+            << "seed " << seed << " step " << step << " table " << table;
+        if (update.patched) ++patched;
+        if (installed[table]) {
+          EXPECT_EQ(update.forwards_like(*installed[table]),
+                    full.forwarding_equal(*installed[table]));
+          if (update.forwards_like(*installed[table])) continue;  // keep; stays dirty
+        }
+        installed[table] = std::move(update.fib);
+        rib.mark_installed();
+      }
+    }
+  }
+  EXPECT_GT(patched, 1000u);  // the delta path, not just the full one, was checked
+}
+
+TEST(DeltaFib, LabelledInstalledTableForcesFullCompile) {
+  Rib rib = typical_rib();
+  aft::Aft installed = compile_fib(rib);
+  rib.mark_installed();
+  installed.set_label_entry({100001, installed.add_group(installed.add_next_hop({}))});
+  RibRoute route;
+  route.prefix = pfx("198.51.100.0/24");
+  route.protocol = Protocol::kStatic;
+  route.next_hop = addr("2.2.2.2");
+  rib.add(route);
+  FibUpdate update = update_fib(rib, &installed);
+  EXPECT_FALSE(update.patched.has_value());
+  EXPECT_EQ(update.entries_resolved, rib.prefix_count());
+  EXPECT_EQ(update.fib.to_json().dump(), compile_fib(rib).to_json().dump());
+}
+
+TEST(DeltaFib, CleanRibSharesTheInstalledTable) {
+  Rib rib = typical_rib();
+  aft::Aft installed = compile_fib(rib);
+  rib.mark_installed();
+  FibUpdate update = update_fib(rib, &installed);
+  ASSERT_TRUE(update.patched.has_value());
+  EXPECT_TRUE(update.patched->empty());
+  EXPECT_EQ(update.entries_resolved, 0u);
+  EXPECT_TRUE(update.fib.shares_tables(installed));
+}
+
+TEST(DeltaFib, RecursiveEntriesFollowTheirResolvingRoute) {
+  Rib rib = typical_rib();  // BGP 203.0.113.0/24 via 2.2.2.2 via IS-IS
+  for (int i = 2; i <= 5; ++i) {  // unrelated prefixes: a patch stays cheaper
+    RibRoute connected;
+    connected.prefix = pfx("100.64." + std::to_string(i) + ".0/31");
+    connected.protocol = Protocol::kConnected;
+    connected.interface = "Ethernet" + std::to_string(i);
+    rib.add(connected);
+  }
+  aft::Aft installed = compile_fib(rib);
+  rib.mark_installed();
+  RibRoute isis;
+  isis.prefix = pfx("2.2.2.2/32");
+  isis.protocol = Protocol::kIsis;
+  isis.admin_distance = 115;
+  isis.metric = 20;
+  isis.next_hop = addr("100.64.0.1");
+  isis.interface = "Ethernet1";
+  isis.source = "";
+  ASSERT_TRUE(rib.remove(isis));
+  // Only the IS-IS prefix is dirty, yet the BGP entry it carried must go.
+  EXPECT_EQ(rib.dirty().size(), 1u);
+  FibUpdate update = update_fib(rib, &installed);
+  ASSERT_TRUE(update.patched.has_value());
+  EXPECT_EQ(update.fib.ipv4_entry(pfx("203.0.113.0/24")), nullptr);
+  EXPECT_EQ(update.fib.to_json().dump(), compile_fib(rib).to_json().dump());
+  EXPECT_FALSE(update.forwards_like(installed));
 }
 
 }  // namespace

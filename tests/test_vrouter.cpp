@@ -5,6 +5,8 @@
 #include "config/dialect.hpp"
 #include "emu/emulation.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
+#include "workload/generator.hpp"
 
 namespace mfv {
 namespace {
@@ -195,6 +197,44 @@ TEST(VirtualRouter, ReachableSemantics) {
   EXPECT_TRUE(router->reachable(addr("10.0.0.2")));   // via IS-IS
   EXPECT_FALSE(router->reachable(addr("8.8.8.8")));   // no route
   EXPECT_FALSE(router->reachable(addr("192.0.2.1"))); // null-routed
+}
+
+
+// Host-independent work gate for the delta FIB install: one single-link
+// cut on a fixed 12-router WAN must cost exactly these compiles and
+// re-resolved entries. A return to full recompiles (every router
+// re-resolving its whole table) multiplies the entry count.
+TEST(VirtualRouter, SingleLinkCutFibWorkIsPinned) {
+  workload::WanOptions options;
+  options.routers = 12;
+  options.seed = 5;
+  emu::Topology topology = workload::wan_topology(options);
+  obs::MetricsRegistry registry;
+  emu::EmulationOptions emulation_options;
+  emulation_options.metrics = &registry;
+  emu::Emulation emulation(emulation_options);
+  ASSERT_TRUE(emulation.add_topology(topology).ok());
+  emulation.start_all();
+  ASSERT_TRUE(emulation.run_to_convergence());
+  obs::Counter& compiles = registry.counter("emu_fib_compiles");
+  obs::Counter& entries = registry.counter("emu_fib_entries_compiled");
+  const uint64_t boot_compiles = compiles.value();
+  const uint64_t boot_entries = entries.value();
+  size_t table_entries = 0;
+  for (const net::NodeName& name : emulation.node_names())
+    table_entries += emulation.router(name)->routing_table().prefix_count();
+
+  const emu::LinkSpec& cut = topology.links.front();
+  ASSERT_TRUE(emulation.set_link_up(cut.a, cut.b, false));
+  ASSERT_TRUE(emulation.run_to_convergence());
+  const uint64_t cut_compiles = compiles.value() - boot_compiles;
+  const uint64_t cut_entries = entries.value() - boot_entries;
+  // 14 compiles (the two endpoints twice, as their connected routes go
+  // first); full compiles would re-resolve about 14/12 of the network's
+  // 354 prefixes instead of 80.
+  EXPECT_EQ(cut_compiles, 14u);
+  EXPECT_EQ(cut_entries, 80u);
+  EXPECT_EQ(table_entries, 354u);
 }
 
 }  // namespace
