@@ -40,9 +40,6 @@ struct SweepStats {
   double ms_min = 0.0;
   double ms_max = 0.0;
   size_t runs = 1;
-  /// Aggregated splice counters when the sweep verified incrementally.
-  verify::IncrementalStats incremental;
-  size_t fallbacks = 0;
 };
 
 double now_ms() {
@@ -130,7 +127,7 @@ SweepStats sweep_cold(const emu::Topology& topology) {
 /// usage where the base already exists).
 SweepStats sweep_forked(const emu::Emulation& base,
                         const std::vector<scenario::Scenario>& scenarios,
-                        unsigned threads, bool incremental = false) {
+                        unsigned threads) {
   SweepStats stats;
   double begin = now_ms();
 
@@ -138,15 +135,12 @@ SweepStats sweep_forked(const emu::Emulation& base,
   options.threads = threads;
   options.keep_snapshots = false;
   options.verify = a3_verify_options();
-  options.incremental = incremental;
   scenario::ScenarioRunner runner(base, options);
   auto results = runner.run(scenarios);
   if (!results.ok()) return stats;
 
   for (const scenario::ScenarioResult& result : *results) {
     ++stats.scenarios;
-    stats.incremental.accumulate(result.incremental);
-    if (result.incremental.fell_back) ++stats.fallbacks;
     if (result.broken_pairs > 0) {
       ++stats.breaking_cuts;
       if (result.broken_pairs > stats.worst_broken_pairs) {
@@ -186,12 +180,6 @@ void record_sweep(const char* sweep, const char* approach, const SweepStats& sta
   fields["ms_max"] = stats.ms_max;
   fields["runs"] = static_cast<uint64_t>(stats.runs);
   if (cold_ms > 0 && stats.ms > 0) fields["speedup"] = cold_ms / stats.ms;
-  if (stats.incremental.classes > 0 || stats.fallbacks > 0) {
-    fields["splice_hits"] = static_cast<uint64_t>(stats.incremental.spliced);
-    fields["retraced"] = static_cast<uint64_t>(stats.incremental.retraced);
-    fields["dirty_classes"] = static_cast<uint64_t>(stats.incremental.dirty_classes);
-    fields["fallbacks"] = static_cast<uint64_t>(stats.fallbacks);
-  }
   mfvbench::timing("A3_TIMING", fields);
 }
 
@@ -220,8 +208,6 @@ void report() {
   SweepStats cold = repeated([&] { return sweep_cold(topology); });
   SweepStats forked_serial = repeated([&] { return sweep_forked(base, k1, /*threads=*/1); });
   SweepStats forked_threaded = repeated([&] { return sweep_forked(base, k1, /*threads=*/0); });
-  SweepStats incremental_threaded =
-      repeated([&] { return sweep_forked(base, k1, /*threads=*/0, /*incremental=*/true); });
 
   std::printf("=== A3: Exhaustive what-if search, per-scenario emulation vs forking ===\n");
   std::printf("(each sweep timed %zu times; ms = median)\n", kRepeats);
@@ -233,22 +219,15 @@ void report() {
   print_row("cold boot", cold, cold.ms);
   print_row("forked serial", forked_serial, cold.ms);
   print_row("forked threaded", forked_threaded, cold.ms);
-  print_row("incr threaded", incremental_threaded, cold.ms);
   if (cold.breaking_cuts != forked_serial.breaking_cuts ||
-      cold.breaking_cuts != forked_threaded.breaking_cuts ||
-      cold.breaking_cuts != incremental_threaded.breaking_cuts)
+      cold.breaking_cuts != forked_threaded.breaking_cuts)
     std::printf("  WARNING: breaking-cut counts disagree between approaches\n");
   if (forked_serial.worst_broken_pairs > 0)
     std::printf("  worst cut: %s (%zu pairs lost)\n", forked_serial.worst_cut.c_str(),
                 forked_serial.worst_broken_pairs);
-  std::printf("  incremental: %zu spliced / %zu retraced columns, %zu fallbacks\n",
-              incremental_threaded.incremental.spliced,
-              incremental_threaded.incremental.retraced,
-              incremental_threaded.fallbacks);
   record_sweep("k1", "cold", cold, 0);
   record_sweep("k1", "forked-serial", forked_serial, cold.ms);
   record_sweep("k1", "forked-threaded", forked_threaded, cold.ms);
-  record_sweep("k1", "incremental-threaded", incremental_threaded, cold.ms);
 
   // The exponential the paper warns about — now with the k=2 sweep
   // actually executed on the scenario engine instead of only counted.
@@ -270,20 +249,9 @@ void report() {
     std::printf("  worst pair of cuts          : %s (%zu pairs lost)\n",
                 k2_stats.worst_cut.c_str(), k2_stats.worst_broken_pairs);
   record_sweep("k2", "forked-threaded", k2_stats, 0);
-  SweepStats k2_incremental =
-      repeated([&] { return sweep_forked(base, k2, /*threads=*/0, /*incremental=*/true); });
-  std::printf("  incremental rerun           : %.1f ms (%.2fx; %zu spliced / %zu "
-              "retraced, %zu fallbacks)\n",
-              k2_incremental.ms,
-              k2_incremental.ms > 0 ? k2_stats.ms / k2_incremental.ms : 0.0,
-              k2_incremental.incremental.spliced, k2_incremental.incremental.retraced,
-              k2_incremental.fallbacks);
-  record_sweep("k2", "incremental-threaded", k2_incremental, k2_stats.ms);
 
-  // Incremental verification at scale: on a 200-router WAN the pairwise
-  // verify dominates each forked scenario, which is exactly the cost the
-  // splicer removes. The k=2 sweep is restricted to cuts among the first
-  // 14 links (C(14,2) = 91 scenarios) to keep the cold side runnable.
+  // The forked sweep at scale: a 200-router WAN, k=2 restricted to cuts
+  // among the first 14 links (C(14,2) = 91 scenarios).
   workload::WanOptions big_options;
   big_options.routers = 200;
   big_options.seed = 11;
@@ -295,23 +263,12 @@ void report() {
   emu::Topology big_cuts = big;
   if (big_cuts.links.size() > 14) big_cuts.links.resize(14);
   std::vector<scenario::Scenario> big_k2 = scenario::k_link_cuts(big_cuts, 2);
-  SweepStats big_cold = repeated([&] { return sweep_forked(big_base, big_k2, /*threads=*/0); });
-  SweepStats big_incremental = repeated(
-      [&] { return sweep_forked(big_base, big_k2, /*threads=*/0, /*incremental=*/true); });
+  SweepStats big_forked =
+      repeated([&] { return sweep_forked(big_base, big_k2, /*threads=*/0); });
   std::printf("\n200-router WAN, k=2 over first 14 links (%zu scenarios):\n",
               big_k2.size());
-  std::printf("  forked + cold verify        : %.1f ms\n", big_cold.ms);
-  std::printf("  forked + incremental verify : %.1f ms (%.2fx; %zu spliced / %zu "
-              "retraced, %zu fallbacks)\n",
-              big_incremental.ms,
-              big_incremental.ms > 0 ? big_cold.ms / big_incremental.ms : 0.0,
-              big_incremental.incremental.spliced,
-              big_incremental.incremental.retraced, big_incremental.fallbacks);
-  if (big_cold.breaking_cuts != big_incremental.breaking_cuts)
-    std::printf("  WARNING: breaking-cut counts disagree (cold %zu vs incremental %zu)\n",
-                big_cold.breaking_cuts, big_incremental.breaking_cuts);
-  record_sweep("k2-200r", "forked-threaded", big_cold, 0);
-  record_sweep("k2-200r", "incremental-threaded", big_incremental, big_cold.ms);
+  std::printf("  forked threaded             : %.1f ms\n", big_forked.ms);
+  record_sweep("k2-200r", "forked-threaded", big_forked, 0);
 
   // Negative control: a line topology, where every link is a bridge — the
   // sweep must flag every cut.

@@ -37,7 +37,7 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed-range A:B | --seed N] [--oracle "
-               "engines|fork|store|dialect|sharded|incremental|explore|fib|all]\n"
+               "engines|fork|store|dialect|sharded|explore|fib|all]\n"
                "          [--out DIR] [--time-budget-sec S] [--no-minimize] "
                "[--replay FILE]\n",
                argv0);

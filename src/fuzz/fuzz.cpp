@@ -211,8 +211,6 @@ std::string oracle_name(uint32_t oracle) {
       return "dialect";
     case kOracleSharded:
       return "sharded";
-    case kOracleIncremental:
-      return "incremental";
     case kOracleExplore:
       return "explore";
     case kOracleFib:
@@ -230,7 +228,6 @@ std::optional<uint32_t> parse_oracle(std::string_view name) {
   if (name == "store") return kOracleStore;
   if (name == "dialect") return kOracleDialect;
   if (name == "sharded") return kOracleSharded;
-  if (name == "incremental") return kOracleIncremental;
   if (name == "explore") return kOracleExplore;
   if (name == "fib") return kOracleFib;
   if (name == "all") return kOracleAll;
@@ -242,7 +239,7 @@ uint32_t FuzzCase::oracles() const {
   if (!snapshot.devices.empty() || !topology.nodes.empty()) mask |= kOracleEngines;
   if (!topology.nodes.empty())
     mask |= kOracleFork | kOracleStore | kOracleDialect | kOracleSharded |
-            kOracleIncremental | kOracleExplore | kOracleFib;
+            kOracleExplore | kOracleFib;
   if (!literals.empty()) mask |= kOracleDialect;
   return mask;
 }

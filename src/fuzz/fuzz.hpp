@@ -61,11 +61,6 @@ enum Oracle : uint32_t {
   /// with EmulationOptions::shards > 1 must produce byte-identical
   /// snapshot JSON and identical message/event/clock counters.
   kOracleSharded = 1u << 4,
-  /// Incremental re-verification vs cold: after fork + perturb +
-  /// re-converge, the splicing engine (verify/incremental, seeded with
-  /// the base's captured disposition matrix) must reproduce the cold
-  /// reachability rows and pairwise cells byte for byte.
-  kOracleIncremental = 1u << 5,
   /// Exhaustive exploration soundness (src/explore): jitter-sampled
   /// converged states of the case's topology must canonicalize into the
   /// exhaustively explored, deduped state set. Sampled jitter stays below
@@ -73,20 +68,20 @@ enum Oracle : uint32_t {
   /// pairs the exploration branches on. Skips (passes) when the topology
   /// is too large or the exploration hit a cap — membership is only a
   /// theorem for complete enumerations.
-  kOracleExplore = 1u << 6,
+  kOracleExplore = 1u << 5,
   /// Delta FIB install vs full compile: after boot and after each
   /// perturbation's re-convergence, every router's installed tables must
   /// forward like a full compile of its RIBs, and match it byte for byte
   /// wherever the RIB's dirty set is empty.
-  kOracleFib = 1u << 7,
+  kOracleFib = 1u << 6,
 
   kOracleAll = kOracleEngines | kOracleFork | kOracleStore | kOracleDialect |
-               kOracleSharded | kOracleIncremental | kOracleExplore | kOracleFib,
+               kOracleSharded | kOracleExplore | kOracleFib,
 };
 
 std::string oracle_name(uint32_t oracle);
 /// Parses "engines" / "fork" / "store" / "dialect" / "sharded" /
-/// "incremental" / "explore" / "fib" / "all".
+/// "explore" / "fib" / "all".
 std::optional<uint32_t> parse_oracle(std::string_view name);
 
 /// One self-contained fuzz case. Exactly one of topology/snapshot is

@@ -10,7 +10,6 @@
 #include "service/protocol.hpp"
 #include "service/snapshot_store.hpp"
 #include "verify/forwarding_graph.hpp"
-#include "verify/incremental/incremental.hpp"
 #include "verify/queries.hpp"
 #include "verify/trace_cache.hpp"
 
@@ -398,77 +397,7 @@ Verdict check_sharded(const FuzzCase& c) {
   return pass(kOracleSharded);
 }
 
-// -- oracle 6: incremental re-verification vs cold --------------------------
-
-std::string render_cells(const verify::PairwiseResult& result) {
-  std::string out;
-  for (const verify::PairwiseCell& cell : result.cells)
-    out += cell.source + "|" + cell.destination + "|" + (cell.reachable ? "1" : "0") + "\n";
-  out += std::to_string(result.reachable_pairs) + "/" + std::to_string(result.total_pairs);
-  return out;
-}
-
-Verdict check_incremental(const FuzzCase& c) {
-  emu::Emulation base;
-  if (!base.add_topology(c.topology).ok())
-    return pass(kOracleIncremental, "skipped: topology rejected");
-  base.start_all();
-  if (!base.run_to_convergence())
-    return pass(kOracleIncremental, "skipped: unconverged");
-
-  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(base, "base");
-  verify::ForwardingGraph base_graph(base_snapshot);
-  verify::QueryOptions options;
-  options.threads = 4;
-  options.engine = verify::EngineMode::kCached;
-  options.trace = oracle_trace_options();
-  std::unique_ptr<verify::IncrementalBase> verify_base =
-      verify::capture_incremental_base(base_graph, options);
-
-  std::unique_ptr<emu::Emulation> fork = base.fork();
-  if (fork == nullptr)
-    return fail(kOracleIncremental, "converged base refused to fork");
-  for (const scenario::Perturbation& perturbation : c.perturbations)
-    scenario::ScenarioRunner::apply(*fork, perturbation);
-  if (!fork->run_to_convergence())
-    return pass(kOracleIncremental, "skipped: perturbed network did not re-converge");
-
-  gnmi::Snapshot candidate_snapshot = gnmi::Snapshot::capture(*fork, "candidate");
-  verify::ForwardingGraph candidate(candidate_snapshot);
-
-  // Never fall back on size: a huge dirty set must still splice correctly
-  // (the fallback path is trivially identical — it *is* the cold path).
-  verify::IncrementalStats stats;
-  verify::QueryOptions incremental = options;
-  incremental.incremental = verify_base.get();
-  incremental.incremental_max_dirty_fraction = 1.0;
-  incremental.incremental_stats = &stats;
-
-  std::vector<std::string> cold_rows =
-      render_rows(verify::reachability(candidate, options));
-  std::vector<std::string> spliced_rows =
-      render_rows(verify::reachability(candidate, incremental));
-  if (std::string diff = first_diff(cold_rows, spliced_rows); !diff.empty())
-    return fail(kOracleIncremental,
-                "incremental reachability diverged from cold (spliced=" +
-                    std::to_string(stats.spliced) + " retraced=" +
-                    std::to_string(stats.retraced) +
-                    (stats.fell_back ? " fallback=" + stats.fallback_reason : "") +
-                    "): " + diff);
-
-  std::string cold_cells = render_cells(verify::pairwise_reachability(candidate, options));
-  std::string spliced_cells =
-      render_cells(verify::pairwise_reachability(candidate, incremental));
-  if (cold_cells != spliced_cells)
-    return fail(kOracleIncremental,
-                "incremental pairwise diverged from cold after " +
-                    std::to_string(c.perturbations.size()) + " perturbation(s)" +
-                    (stats.fell_back ? " (fallback=" + stats.fallback_reason + ")" : ""));
-
-  return pass(kOracleIncremental);
-}
-
-// -- oracle 7: exploration soundness (sampled ⊆ exhaustive) -----------------
+// -- oracle 6: exploration soundness (sampled ⊆ exhaustive) -----------------
 
 Verdict check_explore(const FuzzCase& c) {
   // Exploration is exponential in co-pending deliveries; gate it to small
@@ -521,7 +450,7 @@ Verdict check_explore(const FuzzCase& c) {
   return pass(kOracleExplore);
 }
 
-// -- oracle 8: delta FIB install vs full compile ----------------------------
+// -- oracle 7: delta FIB install vs full compile ----------------------------
 
 /// First router whose installed tables disagree with a full compile of its
 /// RIBs: in forwarding always, in bytes where the RIB is clean (a table
@@ -579,7 +508,6 @@ std::vector<Verdict> run_oracles(const FuzzCase& c, uint32_t mask) {
   if (applicable & kOracleStore) verdicts.push_back(check_store(c));
   if (applicable & kOracleDialect) verdicts.push_back(check_dialect(c));
   if (applicable & kOracleSharded) verdicts.push_back(check_sharded(c));
-  if (applicable & kOracleIncremental) verdicts.push_back(check_incremental(c));
   if (applicable & kOracleExplore) verdicts.push_back(check_explore(c));
   if (applicable & kOracleFib) verdicts.push_back(check_fib(c));
   return verdicts;

@@ -177,8 +177,6 @@ ScenarioRunner::ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions
     for (const verify::PairwiseCell& cell : base_pairwise_.cells)
       if (cell.reachable) base_reachable_.insert({cell.source, cell.destination});
   }
-  if (options_.incremental)
-    incremental_base_ = verify::capture_incremental_base(base_graph_, options_.verify);
 }
 
 util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
@@ -235,13 +233,7 @@ util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
     if (options_.pairwise || (options_.differential && result.converged)) {
       verify::ForwardingGraph graph(snapshot);
       if (options_.pairwise) {
-        verify::QueryOptions verify_options = options_.verify;
-        if (incremental_base_ != nullptr) {
-          // Shared read-only across shards; diff + splice are const over it.
-          verify_options.incremental = incremental_base_.get();
-          verify_options.incremental_stats = &result.incremental;
-        }
-        result.pairwise = verify::pairwise_reachability(graph, verify_options);
+        result.pairwise = verify::pairwise_reachability(graph, options_.verify);
         for (const verify::PairwiseCell& cell : result.pairwise.cells)
           if (!cell.reachable &&
               base_reachable_.count({cell.source, cell.destination}) > 0)

@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "util/status.hpp"
 #include "verify/forwarding_graph.hpp"
-#include "verify/incremental/incremental.hpp"
 #include "verify/queries.hpp"
 
 namespace mfv::scenario {
@@ -97,9 +96,6 @@ struct ScenarioResult {
   size_t broken_pairs = 0;
   /// Full flow-space diff vs the base (differential on, converged only).
   verify::DifferentialResult differential;
-  /// Dirty/splice/fallback accounting of the incremental verify engine
-  /// (zeroed unless ScenarioRunnerOptions.incremental is on).
-  verify::IncrementalStats incremental;
 };
 
 struct ScenarioRunnerOptions {
@@ -117,23 +113,12 @@ struct ScenarioRunnerOptions {
   /// Keep each scenario's snapshot in its result (turn off for very large
   /// sweeps where only the verdict matters).
   bool keep_snapshots = true;
-  /// Verify each fork incrementally against the base's captured result:
-  /// the runner captures one IncrementalBase up front and every
-  /// scenario's pairwise query splices clean columns from it instead of
-  /// re-tracing the world (byte-identical either way; see
-  /// verify/incremental). Per-scenario accounting lands in
-  /// ScenarioResult.incremental.
-  bool incremental = false;
   /// Engine options for the per-scenario verify queries. One thread per
   /// query by default: parallelism comes from scenario sharding, and
-  /// nesting pools inside workers oversubscribes the machine. The memoized
-  /// engine is forced (kAuto would fall back to the legacy walker at one
-  /// thread) — per-class memoization pays off within a single pairwise
-  /// sweep regardless of thread count.
+  /// nesting pools inside workers oversubscribes the machine.
   verify::QueryOptions verify = [] {
     verify::QueryOptions options;
     options.threads = 1;
-    options.engine = verify::EngineMode::kCached;
     return options;
   }();
   /// Optional metrics sink for the scenario_* family: forks taken,
@@ -172,9 +157,6 @@ class ScenarioRunner {
   verify::PairwiseResult base_pairwise_;
   /// Base-reachable (source, destination) pairs, for broken_pairs.
   std::set<std::pair<net::NodeName, net::NodeName>> base_reachable_;
-  /// Base verify result in splice-ready form (incremental option only);
-  /// immutable after the constructor, shared read-only across shards.
-  std::unique_ptr<verify::IncrementalBase> incremental_base_;
 };
 
 // ---------------------------------------------------------------------------

@@ -190,17 +190,6 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
         entry->emulation = std::move(emulation);
         entry->graph = std::make_unique<verify::ForwardingGraph>(entry->snapshot);
         entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        if (options_.capture_verify_base) {
-          // Same engine shape as query_options(); routing the capture
-          // through the entry cache fully warms it as a side effect.
-          verify::QueryOptions capture;
-          capture.threads = options_.query_threads;
-          capture.engine = verify::EngineMode::kCached;
-          capture.cache = entry->cache.get();
-          capture.metrics = metrics_;
-          entry->verify_base =
-              verify::capture_incremental_base(*entry->graph, capture);
-        }
         return entry;
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());
@@ -234,7 +223,6 @@ verify::QueryOptions VerificationService::query_options(
     const Request& request, const StoredSnapshot& entry) const {
   verify::QueryOptions options;
   options.threads = options_.query_threads;
-  options.engine = verify::EngineMode::kCached;
   options.cache = entry.cache.get();
   options.metrics = metrics_;
   if (const util::Json* sources = find_param(request, "sources");
@@ -271,19 +259,6 @@ Response VerificationService::query(const Request& request, util::Json& timing,
     options.scope = *prefix;
   }
   size_t max_rows = bool_param(request, "full", false) ? 0 : options_.max_rows;
-
-  // A forked snapshot verifies against its ancestor's captured result:
-  // the splicer re-traces only what the perturbation dirtied. The lease's
-  // parent pointer pins the ancestor, so eviction cannot race this.
-  verify::IncrementalStats incremental_stats;
-  const StoredSnapshot* splice_base =
-      entry.parent != nullptr && entry.parent->verify_base != nullptr
-          ? entry.parent.get()
-          : nullptr;
-  if (splice_base != nullptr) {
-    options.incremental = splice_base->verify_base.get();
-    options.incremental_stats = &incremental_stats;
-  }
 
   auto verify_start = std::chrono::steady_clock::now();
   obs::TraceSpan verify_span(spans_, "verify", parent_span);
@@ -322,18 +297,6 @@ Response VerificationService::query(const Request& request, util::Json& timing,
                              util::invalid_argument("unknown query kind '" + kind + "'"));
   }
 
-  if (splice_base != nullptr &&
-      (kind == "reachability" || kind == "pairwise" || kind == "loops")) {
-    util::Json incremental = util::Json::object();
-    incremental["base"] = splice_base->key.to_string();
-    incremental["spliced"] = incremental_stats.spliced;
-    incremental["retraced"] = incremental_stats.retraced;
-    incremental["dirty_classes"] = incremental_stats.dirty_classes;
-    incremental["fell_back"] = incremental_stats.fell_back;
-    if (incremental_stats.fell_back)
-      incremental["fallback_reason"] = incremental_stats.fallback_reason;
-    result["incremental"] = std::move(incremental);
-  }
   timing["verify_us"] = elapsed_us(verify_start);
   return Response::success(request.id, std::move(result));
 }
@@ -386,10 +349,6 @@ Response VerificationService::fork_scenario(const Request& request, util::Json& 
         entry->emulation = std::move(fork);
         entry->graph = std::make_unique<verify::ForwardingGraph>(entry->snapshot);
         entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        // Queries on this fork splice from the nearest ancestor that
-        // captured a verify base (forks of forks chain through it).
-        entry->parent =
-            base_entry->verify_base != nullptr ? base_entry : base_entry->parent;
         return entry;
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());

@@ -63,11 +63,6 @@ struct ServiceOptions {
   /// Row cap for rendered query results unless the request sets
   /// params.full = true.
   size_t max_rows = 1000;
-  /// Capture each converged base snapshot's full disposition matrix at
-  /// build time (verify/incremental), so queries against its forks verify
-  /// only the diff. The capture doubles as a full TraceCache warm-up for
-  /// the base. Off = forks always verify cold.
-  bool capture_verify_base = true;
   /// Metrics registry every subsystem (store, broker, emulation, trace
   /// caches, spans) publishes into. nullptr = the service owns a private
   /// registry, so the metrics verb always answers; inject one to observe

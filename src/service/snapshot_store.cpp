@@ -99,24 +99,9 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
     std::unique_lock<std::mutex> lock(mutex_);
     bool joined = false;
     for (;;) {
-      auto it = slots_.find(id);
-      if (it == slots_.end()) break;
-      if (it->second.value != nullptr) {
-        if (content_check != 0 && it->second.value->content_check != 0 &&
-            it->second.value->content_check != content_check) {
-          // The key collided with different content: never treat the two
-          // snapshots as identical. Route this caller to a slot
-          // disambiguated by its own fingerprint and look up again.
-          ++hash_collisions_;
-          if (collisions_counter_ != nullptr) collisions_counter_->add(1);
-          id += "~" + util::hex64(content_check);
-          continue;
-        }
-        ++hits_;
-        if (hits_counter_ != nullptr) hits_counter_->add(1);
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
-        return Lease{it->second.value, /*hit=*/true};
-      }
+      Slot* slot = lookup_locked(id, content_check);
+      if (slot == nullptr) break;
+      if (slot->value != nullptr) return Lease{slot->value, /*hit=*/true};
       // Someone else is building this key; wait for them rather than
       // duplicating a convergence run. Counted once per joining caller,
       // however many times the condition variable wakes it.
@@ -183,16 +168,17 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   return Lease{std::move(entry), /*hit=*/false};
 }
 
-SnapshotStore::EntryPtr SnapshotStore::find(const std::string& tenant,
-                                            const SnapshotKey& key,
-                                            uint64_t content_check) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string id = slot_id(tenant, key);
+SnapshotStore::Slot* SnapshotStore::lookup_locked(std::string& id, uint64_t content_check) {
   for (;;) {
     auto it = slots_.find(id);
-    if (it == slots_.end() || it->second.value == nullptr) return nullptr;
-    if (content_check != 0 && it->second.value->content_check != 0 &&
-        it->second.value->content_check != content_check) {
+    if (it == slots_.end()) return nullptr;
+    Slot& slot = it->second;
+    if (slot.value == nullptr) return &slot;  // still building
+    if (content_check != 0 && slot.value->content_check != 0 &&
+        slot.value->content_check != content_check) {
+      // The key collided with different content: never treat the two
+      // snapshots as identical. Route this caller to a slot
+      // disambiguated by its own fingerprint and look up again.
       ++hash_collisions_;
       if (collisions_counter_ != nullptr) collisions_counter_->add(1);
       id += "~" + util::hex64(content_check);
@@ -200,9 +186,18 @@ SnapshotStore::EntryPtr SnapshotStore::find(const std::string& tenant,
     }
     ++hits_;
     if (hits_counter_ != nullptr) hits_counter_->add(1);
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.value;
+    lru_.splice(lru_.begin(), lru_, slot.lru);
+    return &slot;
   }
+}
+
+SnapshotStore::EntryPtr SnapshotStore::find(const std::string& tenant,
+                                            const SnapshotKey& key,
+                                            uint64_t content_check) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::string id = slot_id(tenant, key);
+  Slot* slot = lookup_locked(id, content_check);
+  return slot != nullptr ? slot->value : nullptr;
 }
 
 void SnapshotStore::drop_locked(std::map<std::string, Slot>::iterator it) {

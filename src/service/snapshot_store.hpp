@@ -50,7 +50,6 @@
 #include "scenario/scenario.hpp"
 #include "util/status.hpp"
 #include "verify/forwarding_graph.hpp"
-#include "verify/incremental/incremental.hpp"
 #include "verify/trace_cache.hpp"
 
 namespace mfv::service {
@@ -105,16 +104,6 @@ struct StoredSnapshot {
   std::unique_ptr<verify::ForwardingGraph> graph;
   /// Thread-safe; shared by every request that leases this entry.
   std::unique_ptr<verify::TraceCache> cache;
-  /// Base verify result in splice-ready form (verify/incremental), so
-  /// forks of this snapshot answer queries by verifying only the diff.
-  /// Captured for converged bases, not for forks (capturing a fork would
-  /// cost exactly the cold verify the splice is meant to avoid); read-only
-  /// after build, safe to share across concurrent requests.
-  std::unique_ptr<verify::IncrementalBase> verify_base;
-  /// Nearest ancestor carrying a verify_base (null for bases). Pins the
-  /// ancestor across store eviction, so an incremental query on a fork
-  /// never races the LRU.
-  std::shared_ptr<const StoredSnapshot> parent;
   /// Independent content fingerprint (stamped by the store from the
   /// get_or_build argument; 0 = unchecked). Distinguishes genuine content
   /// identity from a SnapshotKey collision on later hits.
@@ -220,6 +209,14 @@ class SnapshotStore {
 
   /// "tenant/t…-c…-d…" — the namespaced slot identity.
   static std::string slot_id(const std::string& tenant, const SnapshotKey& key);
+
+  /// The slot `id` names, or null when there is none. A stored entry
+  /// whose content check disagrees with `content_check` is a key
+  /// collision: counted, and `id` is re-routed to the disambiguated slot
+  /// before looking again. Finding a stored entry counts a hit and
+  /// touches the LRU; a slot still building is returned uncounted
+  /// (caller holds the lock).
+  Slot* lookup_locked(std::string& id, uint64_t content_check);
 
   /// Drops one entry by slot iterator: accounting, retired trace
   /// counters, LRU and tenant bookkeeping (caller holds the lock).

@@ -75,7 +75,7 @@ class ForwardingGraph {
 
   const gnmi::Snapshot& snapshot() const { return snapshot_; }
 
-  // -- Dense-id interface (the memoized engine and the splicer) ----------
+  // -- Dense-id interface (the memoized engine) ---------------------------
 
   size_t node_count() const { return names_.size(); }
   /// Node names in id order (sorted).

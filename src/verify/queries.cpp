@@ -2,28 +2,78 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
-#include "verify/incremental/incremental.hpp"
-#include "verify/query_support.hpp"
+#include "verify/trace_cache.hpp"
 
 namespace mfv::verify {
 
 namespace {
 
-/// True when the memoized (TraceCache) engine should run; false selects
-/// the legacy per-flow walker.
-bool use_cached_engine(const QueryOptions& options, unsigned threads) {
-  switch (options.engine) {
-    case EngineMode::kLegacy: return false;
-    case EngineMode::kCached: return true;
-    case EngineMode::kAuto: return threads > 1;
-  }
-  return threads > 1;
+std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
+                                           const QueryOptions& options) {
+  if (!options.sources.empty()) return options.sources;
+  return graph.nodes();
 }
+
+std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
+                                     const QueryOptions& options) {
+  if (options.scope) return compute_packet_classes(prefixes, *options.scope);
+  return compute_packet_classes(prefixes);
+}
+
+unsigned resolve_threads(const QueryOptions& options) {
+  if (options.threads != 0) return options.threads;
+  return util::ThreadPool::default_threads();
+}
+
+bool row_passes(const QueryOptions& options, const DispositionSet& dispositions) {
+  return options.row_filter.empty() || dispositions.intersects(options.row_filter);
+}
+
+/// The memoization a query sweep uses: the caller's long-lived cache when
+/// provided (service / session path), else a fresh query-local one.
+class CacheRef {
+ public:
+  CacheRef(TraceCache* shared, const ForwardingGraph& graph,
+           obs::MetricsRegistry* metrics) {
+    if (shared == nullptr) local_ = std::make_unique<TraceCache>(graph, metrics);
+    cache_ = shared != nullptr ? shared : local_.get();
+  }
+  TraceCache& operator*() { return *cache_; }
+
+ private:
+  std::unique_ptr<TraceCache> local_;
+  TraceCache* cache_ = nullptr;
+};
+
+/// A query's source list resolved to one graph's NodeIds, for reading
+/// cells straight out of TraceCache tables. Unknown sources read NO_ROUTE,
+/// like trace_flow, and are not counted as cache reads.
+struct SourceIds {
+  SourceIds(const ForwardingGraph& graph, const std::vector<net::NodeName>& sources) {
+    node.reserve(sources.size());
+    for (const net::NodeName& source : sources) {
+      node.push_back(graph.id_of(source));
+      if (node.back() != kNoNode) ++known;
+    }
+  }
+  DispositionSet read(const TraceCache::Table& table, size_t s) const {
+    if (node[s] != kNoNode) return table.at(node[s]);
+    DispositionSet no_route;
+    no_route.add(Disposition::kNoRoute);
+    return no_route;
+  }
+
+  /// NodeId of source s (kNoNode when the graph lacks it).
+  std::vector<NodeId> node;
+  /// Sources the graph has.
+  size_t known = 0;
+};
 
 /// Resolves the per-shard latency histogram once per sweep (nullptr when
 /// no registry is attached) and times one shard around a callable.
@@ -48,14 +98,14 @@ void timed_shard(obs::Histogram* histogram, Fn&& fn) {
 }  // namespace
 
 ReachabilityResult reachability(const ForwardingGraph& graph, const QueryOptions& options) {
-  if (options.incremental != nullptr) return incremental_reachability(graph, options);
   ReachabilityResult result;
   std::vector<PacketClass> classes = classes_for(graph.relevant_prefixes(), options);
   std::vector<net::NodeName> sources = resolve_sources(graph, options);
   result.classes = classes.size();
 
   unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
+  const bool cached = options.engine == EngineMode::kCached;
+  if (!cached && threads <= 1) {
     // Legacy serial engine: one full walk per (source, class), bit-identical
     // to the seed implementation (including path-truncation behavior).
     for (const net::NodeName& source : sources) {
@@ -75,7 +125,6 @@ ReachabilityResult reachability(const ForwardingGraph& graph, const QueryOptions
   // order never depend on the worker count.
   const size_t class_count = classes.size();
   std::vector<DispositionSet> matrix(sources.size() * class_count);
-  bool cached = use_cached_engine(options, threads);
   CacheRef cache(options.cache, graph, options.metrics);
   SourceIds ids(graph, sources);
   obs::Histogram* shard_latency = shard_latency_histogram(options);
@@ -147,7 +196,8 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
   }
 
   unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
+  const bool cached = options.engine == EngineMode::kCached;
+  if (!cached && threads <= 1) {
     for (const net::NodeName& source : sources) {
       for (const PacketClass& cls : classes) {
         TraceResult base_trace = trace_flow(base, source, cls.representative(), options.trace);
@@ -163,7 +213,6 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
   }
 
   const size_t class_count = classes.size();
-  bool cached = use_cached_engine(options, threads);
   CacheRef base_cache(options.cache, base, options.metrics);
   CacheRef candidate_cache(options.candidate_cache, candidate, options.metrics);
   SourceIds base_ids(base, sources);
@@ -275,12 +324,12 @@ std::optional<net::Ipv4Address> device_loopback(const gnmi::Snapshot& snapshot,
 
 PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options) {
-  if (options.incremental != nullptr) return incremental_pairwise(graph, options);
   PairwiseResult result;
   const std::vector<net::NodeName>& nodes = graph.nodes();
 
   unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
+  const bool cached = options.engine == EngineMode::kCached;
+  if (!cached && threads <= 1) {
     for (const net::NodeName& source : nodes) {
       for (const net::NodeName& destination : nodes) {
         if (source == destination) continue;
@@ -304,7 +353,6 @@ PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
   for (size_t d = 0; d < node_count; ++d)
     loopbacks[d] = device_loopback(graph.snapshot(), nodes[d]);
 
-  bool cached = use_cached_engine(options, threads);
   CacheRef cache(options.cache, graph, options.metrics);
   obs::Histogram* shard_latency = shard_latency_histogram(options);
   std::vector<uint8_t> reachable(node_count * node_count, 0);

@@ -21,15 +21,12 @@ class MetricsRegistry;
 namespace mfv::verify {
 
 class TraceCache;
-struct IncrementalBase;
-struct IncrementalStats;
 
-/// Engine selection. kAuto picks the memoized sharded engine whenever the
-/// query runs multi-threaded and the legacy per-flow walker when
-/// threads == 1 (bit-identical to the seed engine). kLegacy / kCached
-/// force one path regardless of thread count — e.g. for benchmarking
-/// cached-vs-uncached at equal parallelism.
-enum class EngineMode { kAuto, kLegacy, kCached };
+/// Engine selection. kCached is the memoized engine every query runs.
+/// kLegacy is the per-flow walker (trace_flow per cell, bit-identical to
+/// the seed engine), kept only as a reference: the engines fuzz oracle,
+/// the parallel-engine tests and the engine-comparison bench rows.
+enum class EngineMode { kLegacy, kCached };
 
 struct QueryOptions {
   /// Sources to inject at; empty = every device.
@@ -39,10 +36,10 @@ struct QueryOptions {
   std::optional<net::Ipv4Prefix> scope;
   TraceOptions trace;
   /// Worker threads for the query sweep: 0 = hardware concurrency,
-  /// 1 = serial legacy path. Results are identical for every thread
-  /// count (shard-indexed result slots; see util::parallel_for_shards).
+  /// 1 = serial. Results are identical for every thread count
+  /// (shard-indexed result slots; see util::parallel_for_shards).
   unsigned threads = 0;
-  EngineMode engine = EngineMode::kAuto;
+  EngineMode engine = EngineMode::kCached;
   /// If non-empty, only rows whose disposition set intersects this filter
   /// are materialized (flow/class counters still cover every flow) — e.g.
   /// detect_loops() filters on kLoop so success rows are never built.
@@ -59,20 +56,6 @@ struct QueryOptions {
   /// TraceCaches mirror their hit/miss counters into the registry.
   /// nullptr = no instrumentation (the hot loops pay one pointer test).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Base snapshot's captured verify result (verify/incremental). When
-  /// set, reachability() and pairwise_reachability() diff this graph
-  /// against the base, re-trace only the (source, class) cells the delta
-  /// can actually affect and splice the rest from the base matrix —
-  /// byte-identical to the cold sweep, falling back to it whenever the
-  /// delta is not expressible as a FIB diff. Must outlive the call (the
-  /// snapshot store keeps it alive alongside the base entry).
-  const IncrementalBase* incremental = nullptr;
-  /// Fall back to cold re-verification once re-traced cells exceed this
-  /// fraction of all cells (splicing would no longer pay for the diff).
-  double incremental_max_dirty_fraction = 0.5;
-  /// Optional out-param: dirty/splice/fallback accounting of the
-  /// incremental engine (untouched when `incremental` is null).
-  IncrementalStats* incremental_stats = nullptr;
 };
 
 // ---------------------------------------------------------------------------

@@ -19,20 +19,20 @@ void clear_bit(uint64_t* bits, NodeId node) {
   bits[node >> 6] &= ~(uint64_t{1} << (node & 63));
 }
 
-/// Memoized continuations of one class while it is (partially) solved.
-/// Unlabeled states are flat per NodeId — their sets live in the class
-/// Table itself — and MPLS label states, rare, sit in a side map. Freed
-/// once the class is fully solved: the published table needs none of it.
+/// Memoized continuations of one class while it is solved. Unlabeled
+/// states are flat per NodeId — their sets live in the class Table
+/// itself — and MPLS label states, rare, sit in a side map. Local to the
+/// solve: the published table needs none of it.
 struct ClassMemo {
-  size_t words = 0;
   /// By NodeId: the unlabeled state's set is in the table.
   std::vector<uint8_t> memoized;
-  /// By NodeId, `words` each: the nodes the state's subtree traverses.
-  /// Loop detection is node-based, so a memoized result is valid for a
-  /// caller only when none of these nodes are already on the caller's
-  /// path — otherwise the legacy walker would have declared a loop at
-  /// that node and the continuation recorded here never runs (found by
-  /// the serial-vs-threaded fuzz oracle; regression in tests/fuzz_corpus/).
+  /// By NodeId, one node bitset each: the nodes the state's subtree
+  /// traverses. Loop detection is node-based, so a memoized result is
+  /// valid for a caller only when none of these nodes are already on the
+  /// caller's path — otherwise the legacy walker would have declared a
+  /// loop at that node and the continuation recorded here never runs
+  /// (found by the serial-vs-threaded fuzz oracle; regression in
+  /// tests/fuzz_corpus/).
   std::vector<uint64_t> footprints;
   struct Labeled {
     DispositionSet set;
@@ -74,31 +74,26 @@ class ClassSolver {
         reexpansions_(reexpansions),
         reexpansions_counter_(reexpansions_counter) {
     const size_t nodes = graph.node_count();
-    if (memo_.memoized.size() != nodes) {
-      memo_.words = (nodes + 63) / 64;
-      memo_.memoized.assign(nodes, 0);
-      memo_.footprints.assign(nodes * memo_.words, 0);
-      sets_.assign(nodes, DispositionSet());
-    }
-    words_ = memo_.words;
+    words_ = (nodes + 63) / 64;
+    memo_.memoized.assign(nodes, 0);
+    memo_.footprints.assign(nodes * words_, 0);
+    sets_.assign(nodes, DispositionSet());
     on_stack_.assign(words_, 0);
   }
 
-  void solve_all() {
-    for (NodeId node = 0; node < graph_.node_count(); ++node) solve_root(node);
-  }
-
-  /// Solves one root (and every continuation it reaches), memoizing into
-  /// the class memo. Root results are always context-free: every
+  /// Solves every root (and every continuation it reaches), memoizing
+  /// into the class memo. Root results are always context-free: every
   /// dependency recorded below a frame is absorbed when that frame pops,
   /// so by the time the (empty-stack) root returns, deps is empty and
   /// the result was memoized by visit() itself. A root already memoized
-  /// by an earlier partial solve returns immediately.
-  void solve_root(NodeId node) {
-    if (memo_.memoized[node]) return;
-    open_frame(0);
-    visit(node, std::nullopt, 0);
-    close_frame(0);
+  /// as an earlier root's continuation is skipped.
+  void solve_all() {
+    for (NodeId node = 0; node < graph_.node_count(); ++node) {
+      if (memo_.memoized[node]) continue;
+      open_frame(0);
+      visit(node, std::nullopt, 0);
+      close_frame(0);
+    }
   }
 
  private:
@@ -352,12 +347,11 @@ struct TraceCache::ClassSlot {
   const uint32_t destination;
   /// Next slot in the bucket chain; fixed before the slot is published.
   ClassSlot* next = nullptr;
-  /// Guards memo and the table until `solved` flips; after that the
-  /// table is immutable and read without the lock.
+  /// Guards the table until `solved` flips; after that the table is
+  /// immutable and read without the lock.
   std::mutex mutex;
   std::atomic<bool> solved{false};
   Table table;
-  ClassMemo memo;
 };
 
 TraceCache::TraceCache(const ForwardingGraph& graph, obs::MetricsRegistry* metrics)
@@ -421,12 +415,10 @@ const TraceCache::Table& TraceCache::table(net::Ipv4Address destination, uint64_
   if (!slot.solved.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(slot.mutex);
     if (!slot.solved.load(std::memory_order_relaxed)) {
-      // Roots memoized by earlier partial solves (dispositions_for) are
-      // served from the memo; only the remainder runs.
-      ClassSolver solver(graph_, destination, slot.memo, slot.table.sets_, &reexpansions_,
+      ClassMemo memo;
+      ClassSolver solver(graph_, destination, memo, slot.table.sets_, &reexpansions_,
                          reexpansions_counter_);
       solver.solve_all();
-      slot.memo = ClassMemo();
       slot.solved.store(true, std::memory_order_release);
       solved_here = true;
     }
@@ -444,45 +436,6 @@ DispositionSet TraceCache::dispositions(const net::NodeName& source,
     return no_route;
   }
   return table(destination).at(node);
-}
-
-std::vector<DispositionSet> TraceCache::dispositions_for(const std::vector<NodeId>& sources,
-                                                         net::Ipv4Address destination) {
-  ClassSlot& slot = slot_for(destination);
-  std::vector<DispositionSet> out;
-  out.reserve(sources.size());
-  auto read = [&] {
-    for (NodeId source : sources) {
-      if (source == kNoNode) {
-        DispositionSet no_route;
-        no_route.add(Disposition::kNoRoute);
-        out.push_back(no_route);
-      } else {
-        out.push_back(slot.table.sets_[source]);
-      }
-    }
-  };
-  if (slot.solved.load(std::memory_order_acquire)) {
-    count(false, 0);
-    read();
-    return out;
-  }
-  std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.solved.load(std::memory_order_relaxed)) {
-    count(false, 0);
-  } else {
-    ClassSolver solver(graph_, destination, slot.memo, slot.table.sets_, &reexpansions_,
-                       reexpansions_counter_);
-    for (NodeId source : sources)
-      if (source != kNoNode) solver.solve_root(source);
-    // Deliberately not solved: only the requested roots (and their
-    // downstream continuations) are in the memo. A partial solve counts
-    // as a miss — it ran the solver — even though table() may run it
-    // again later to finish the class.
-    count(true, 0);
-  }
-  read();
-  return out;
 }
 
 }  // namespace mfv::verify

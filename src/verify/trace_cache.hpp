@@ -77,16 +77,6 @@ class TraceCache {
   /// Precomputes the table for `destination`'s class (idempotent).
   void warm(net::Ipv4Address destination) { table(destination); }
 
-  /// Partial solve: dispositions for `sources` only (returned in order),
-  /// computing just those roots and the continuations they reach instead
-  /// of the whole node table. The incremental splicer uses this when a
-  /// dirty column needs a handful of re-traced cells — paying the full
-  /// solve's O(nodes) there would erase the splice win. Memoized entries
-  /// stay with the class, so a later table() completes the remaining
-  /// roots without repeating work. kNoNode sources report NO_ROUTE.
-  std::vector<DispositionSet> dispositions_for(const std::vector<NodeId>& sources,
-                                               net::Ipv4Address destination);
-
   /// Number of distinct destination classes resolved so far.
   size_t classes_cached() const { return classes_.load(std::memory_order_relaxed); }
 

@@ -48,9 +48,8 @@ TEST(ObsInstrumentation, ServicePublishesExactDeltas) {
 
   // Cold snapshot: one store miss, one convergence run, and the counter
   // mirrors agree exactly with the response's own numbers. Building the
-  // entry also captures the incremental verify base through the entry's
-  // shared TraceCache, so the cache arrives at the first query pre-warmed
-  // (one miss + node_count hits per class, accounted for below).
+  // entry runs no query, so the entry's TraceCache reaches the first query
+  // empty.
   service::Request snapshot = make_request(2, "snapshot");
   snapshot.params["submission"] = submission;
   service::Response cold = svc.execute(snapshot);
@@ -79,12 +78,9 @@ TEST(ObsInstrumentation, ServicePublishesExactDeltas) {
   EXPECT_EQ(registry.counter("snapshot_store_misses").value(), 1u);
   EXPECT_EQ(registry.counter("emu_convergence_runs").value(), 1u);
 
-  // First reachability sweep: each class was already resolved (a miss) at
-  // snapshot time by the verify-base capture, which also answered one flow
-  // per (source, class); the sweep's per-class warm and every flow are now
-  // hits — classes * (node_count + 1) on top of the capture's
-  // classes * node_count. The shard histogram records one latency per
-  // class shard (the capture's sweep does not touch it).
+  // First reachability sweep: each class is resolved once (a miss) and
+  // every flow read from its table is a hit — classes * node_count. The
+  // shard histogram records one latency per class shard.
   service::Request query = make_request(4, "query");
   query.params["snapshot"] = submission;
   query.params["kind"] = "reachability";
@@ -98,8 +94,7 @@ TEST(ObsInstrumentation, ServicePublishesExactDeltas) {
   EXPECT_EQ(flows, classes * node_count);
 
   EXPECT_EQ(registry.counter("trace_cache_misses").value(), classes);
-  EXPECT_EQ(registry.counter("trace_cache_hits").value(),
-            classes * (2 * node_count + 1));
+  EXPECT_EQ(registry.counter("trace_cache_hits").value(), classes * node_count);
   EXPECT_EQ(registry.counter("trace_cache_reexpansions").value(), 0u);
   EXPECT_EQ(registry.latency_histogram_us("verify_shard_latency_us").count(), classes);
 
@@ -111,7 +106,7 @@ TEST(ObsInstrumentation, ServicePublishesExactDeltas) {
   EXPECT_EQ(second.result.find("answer")->dump(), answer->dump());
   EXPECT_EQ(registry.counter("trace_cache_misses").value(), classes);
   EXPECT_EQ(registry.counter("trace_cache_hits").value(),
-            classes * (3 * node_count + 2));
+            classes * (2 * node_count + 1));
   EXPECT_EQ(registry.latency_histogram_us("verify_shard_latency_us").count(),
             2 * classes);
 
@@ -166,7 +161,6 @@ TEST(ObsInstrumentation, QueryOnStoredSnapshotCountsAStoreHit) {
   obs::MetricsRegistry registry;
   service::ServiceOptions options;
   options.metrics = &registry;
-  options.capture_verify_base = false;
   service::VerificationService svc(options);
 
   service::Request upload = make_request(1, "upload_configs");

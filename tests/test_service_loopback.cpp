@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "emu/emulation.hpp"
+#include "scenario/scenario.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
@@ -143,6 +145,27 @@ TEST(ServiceLoopback, FullRoundTrip) {
   ASSERT_TRUE(refork.ok() && refork->ok());
   EXPECT_TRUE(refork->result.find("hit")->as_bool());
   EXPECT_EQ(refork->result.find("snapshot")->as_string(), what_if);
+
+  // The fork answers pairwise with the one cold engine: the same answer
+  // the scenario runner gives for the same cut, and no splice report.
+  Request fork_query = make_request(13, "query");
+  fork_query.params["snapshot"] = what_if;
+  fork_query.params["kind"] = "pairwise";
+  auto fork_pairwise = client.call(fork_query);
+  ASSERT_TRUE(fork_pairwise.ok() && fork_pairwise->ok())
+      << fork_pairwise.status().to_string();
+  EXPECT_EQ(fork_pairwise->result.find("incremental"), nullptr);
+  emu::Emulation base;
+  ASSERT_TRUE(base.add_topology(topology).ok());
+  base.start_all();
+  ASSERT_TRUE(base.run_to_convergence());
+  scenario::ScenarioRunner runner(base);
+  auto swept = runner.run({scenario::Scenario{
+      "cut", {scenario::LinkCut{topology.links[0].a, topology.links[0].b}}}});
+  ASSERT_TRUE(swept.ok()) << swept.status().to_string();
+  ASSERT_EQ(swept->size(), 1u);
+  EXPECT_EQ(fork_pairwise->result.find("answer")->dump(),
+            VerificationService::render_pairwise(swept->front().pairwise).dump());
 
   Request differential = make_request(8, "query");
   differential.params["snapshot"] = what_if;

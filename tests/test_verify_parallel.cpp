@@ -120,10 +120,11 @@ ForwardingGraph* WorkloadFixture::graph_ = nullptr;
 TEST_F(WorkloadFixture, ReachabilityIdenticalAcrossThreadCounts) {
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   std::string expected = render(reachability(*graph_, serial));
   EXPECT_NE(expected.find("ACCEPTED"), std::string::npos);
   for (unsigned threads : {1u, 2u, 8u}) {
-    for (EngineMode engine : {EngineMode::kAuto, EngineMode::kLegacy, EngineMode::kCached}) {
+    for (EngineMode engine : {EngineMode::kLegacy, EngineMode::kCached}) {
       QueryOptions options;
       options.threads = threads;
       options.engine = engine;
@@ -136,12 +137,14 @@ TEST_F(WorkloadFixture, ReachabilityIdenticalAcrossThreadCounts) {
 TEST_F(WorkloadFixture, ScopedReachabilityIdenticalAcrossThreadCounts) {
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   serial.scope = pfx("10.0.0.0/24");  // loopback space
   serial.sources = {"wan0", "wan7", "wan29"};
   std::string expected = render(reachability(*graph_, serial));
   for (unsigned threads : {2u, 8u}) {
     QueryOptions options = serial;
     options.threads = threads;
+    options.engine = EngineMode::kCached;
     EXPECT_EQ(render(reachability(*graph_, options)), expected) << threads;
   }
 }
@@ -149,6 +152,7 @@ TEST_F(WorkloadFixture, ScopedReachabilityIdenticalAcrossThreadCounts) {
 TEST_F(WorkloadFixture, DetectLoopsIdenticalAcrossThreadCounts) {
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   std::string expected = render(detect_loops(*graph_, serial));
   for (unsigned threads : {2u, 8u}) {
     QueryOptions options;
@@ -160,6 +164,7 @@ TEST_F(WorkloadFixture, DetectLoopsIdenticalAcrossThreadCounts) {
 TEST_F(WorkloadFixture, PairwiseIdenticalAcrossThreadCounts) {
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   std::string expected = render(pairwise_reachability(*graph_, serial));
   for (unsigned threads : {2u, 8u}) {
     QueryOptions options;
@@ -171,6 +176,7 @@ TEST_F(WorkloadFixture, PairwiseIdenticalAcrossThreadCounts) {
 TEST_F(WorkloadFixture, SelfDifferentialIsEmptyAndIdentical) {
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   DifferentialResult expected = differential_reachability(*graph_, *graph_, serial);
   EXPECT_TRUE(expected.empty());
   for (unsigned threads : {2u, 8u}) {
@@ -251,6 +257,7 @@ TEST(TraceCacheDifferential, BaseAndCandidateTablesStayIndependent) {
   // finds, and the regression is attributed to every upstream source.
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   DifferentialResult expected = differential_reachability(base, candidate, serial);
   EXPECT_FALSE(expected.empty());
   ASSERT_FALSE(expected.regressions().empty());

@@ -113,6 +113,7 @@ TEST(VerifyTsan, ParallelReachabilityMatchesSerial) {
   ForwardingGraph graph(fabric_snapshot(24));
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   std::string expected = render(reachability(graph, serial));
   EXPECT_NE(expected.find("ACCEPTED"), std::string::npos);
   EXPECT_NE(expected.find("NULL_ROUTED"), std::string::npos);
@@ -129,6 +130,7 @@ TEST(VerifyTsan, SharedTraceCacheAcrossConcurrentQueries) {
   ForwardingGraph candidate(fabric_snapshot(20));
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   DifferentialResult expected = differential_reachability(base, candidate, serial);
   QueryOptions options;
   options.threads = 8;
@@ -158,6 +160,7 @@ TEST(VerifyTsan, PairwiseParallelMatchesSerial) {
   ForwardingGraph graph(fabric_snapshot(18));
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   PairwiseResult expected = pairwise_reachability(graph, serial);
   EXPECT_TRUE(expected.full_mesh());
   QueryOptions options;
@@ -182,6 +185,7 @@ TEST(VerifyTsan, ConcurrentPairwiseAndDifferentialShareGraphAndCache) {
   ForwardingGraph candidate(fabric_snapshot(20));
   QueryOptions serial;
   serial.threads = 1;
+  serial.engine = EngineMode::kLegacy;
   const std::string expected_pairwise = render(pairwise_reachability(base, serial));
   const std::string expected_differential =
       render(differential_reachability(base, candidate, serial));
